@@ -36,13 +36,6 @@ class AmbientConnection:
 
     ambient: str
 
-    def projector(self, point: np.ndarray) -> np.ndarray:
-        """The projection matrix onto the tangent space at one point."""
-        d = point.shape[0]
-        if self.ambient == PLANE:
-            return np.eye(d)
-        return np.eye(d) - np.outer(point, point)
-
     def project(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         if self.ambient == PLANE:
             return np.array(vectors, dtype=float)

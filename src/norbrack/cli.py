@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -121,21 +122,44 @@ def load_config(path) -> SuiteConfig:
     return SuiteConfig(suite=raw.get("suite", ""), **{k: v for k, v in raw.items() if k != "suite"})
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but true/false in a config is a mistake
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def validate_config(cfg: SuiteConfig) -> SuiteConfig:
     if cfg.suite not in SUITES:
         raise ConfigInvalid(f"unknown suite {cfg.suite!r}; choose from {', '.join(SUITES)}")
-    if not isinstance(cfg.grid_n, int) or cfg.grid_n < 8 or cfg.grid_n % 2 != 0:
+    if not _is_int(cfg.grid_n) or cfg.grid_n < 8 or cfg.grid_n % 2 != 0:
         raise ConfigInvalid(f"grid_n must be an even integer >= 8, got {cfg.grid_n!r}")
     if cfg.ambient not in (PLANE, SPHERE):
         raise ConfigInvalid(f"ambient must be 'plane' or 'sphere', got {cfg.ambient!r}")
-    if cfg.eps is not None and not cfg.eps > 0.0:
-        raise ConfigInvalid("eps must be positive")
-    if cfg.modes is not None and (not isinstance(cfg.modes, int) or cfg.modes < 0):
-        raise ConfigInvalid("modes must be a nonnegative integer")
-    if not isinstance(cfg.cases, int) or cfg.cases < 1:
-        raise ConfigInvalid("cases must be a positive integer")
+    if cfg.eps is not None and not (_is_finite_number(cfg.eps) and cfg.eps > 0.0):
+        raise ConfigInvalid(f"eps must be a finite positive number, got {cfg.eps!r}")
+    if cfg.modes is not None and (not _is_int(cfg.modes) or cfg.modes < 0):
+        raise ConfigInvalid(f"modes must be a nonnegative integer, got {cfg.modes!r}")
+    if not _is_int(cfg.cases) or cfg.cases < 1:
+        raise ConfigInvalid(f"cases must be a positive integer, got {cfg.cases!r}")
+    if not _is_int(cfg.seed) or cfg.seed < 0:
+        raise ConfigInvalid(f"seed must be a nonnegative integer, got {cfg.seed!r}")
+    if not isinstance(cfg.family, str):
+        raise ConfigInvalid(f"family must be a string, got {cfg.family!r}")
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ConfigInvalid(f"out must be a path string, got {cfg.out!r}")
     if not isinstance(cfg.tolerances, dict):
         raise ConfigInvalid("tolerances must be a mapping")
+    for metric, value in cfg.tolerances.items():
+        if not _is_finite_number(value):
+            raise ConfigInvalid(f"tolerance for {metric!r} must be a finite number, got {value!r}")
     if cfg.suite == "spanning" and cfg.ambient != PLANE:
         raise ConfigInvalid("the spanning suite runs on plane curves only")
     return cfg
@@ -283,9 +307,6 @@ def _suite_spanning(cfg: SuiteConfig) -> list[ReportRecord]:
     records: list[ReportRecord] = []
     try:
         report = spanning.verify_spanning(c, k)
-        normals = spanning.normal_generators(c, k)
-        matrix = np.column_stack([g.vectors.reshape(-1) for g in normals])
-        normal_rank = int(np.linalg.matrix_rank(matrix))
     except (NorbrackError, ValueError) as exc:
         records.append(_record(cfg, f"K={k} [{type(exc).__name__}: {exc}]", "rank_deficit", np.inf, 0.0))
         return records
@@ -300,7 +321,7 @@ def _suite_spanning(cfg: SuiteConfig) -> list[ReportRecord]:
         )
     )
     records.append(
-        _record(cfg, f"K={k}", "normal_rank_deficit", c.grid_n - normal_rank, _tol(cfg, "normal_rank_deficit", 0.0))
+        _record(cfg, f"K={k}", "normal_rank_deficit", c.grid_n - report.normal_rank, _tol(cfg, "normal_rank_deficit", 0.0))
     )
     return records
 

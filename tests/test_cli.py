@@ -58,11 +58,30 @@ def test_load_config_reads_fields(tmp_path):
         dict(suite="bracket", eps=-1.0),
         dict(suite="bracket", cases=0),
         dict(suite="spanning", ambient="sphere"),
+        dict(suite="bracket", grid_n=True),
+        dict(suite="bracket", modes=True),
+        dict(suite="oneform", cases=True),
+        dict(suite="bracket", eps="1e-5"),
+        dict(suite="bracket", eps=True),
+        dict(suite="bracket", eps=float("inf")),
+        dict(suite="bracket", tolerances={"bracket_max_diff": "1e-3"}),
+        dict(suite="bracket", tolerances={"bracket_max_diff": False}),
+        dict(suite="bracket", tolerances={"bracket_max_diff": float("inf")}),
+        dict(suite="bracket", tolerances={"bracket_max_diff": float("nan")}),
+        dict(suite="oneform", seed=-1),
+        dict(suite="oneform", seed="x"),
+        dict(suite="oneform", seed=True),
+        dict(suite="bracket", family=3),
+        dict(suite="bracket", out=5),
     ],
 )
-def test_validate_config_rejections(bad):
+def test_validate_config_rejections(bad, tmp_path, capsys):
     with pytest.raises(ConfigInvalid):
         validate_config(SuiteConfig(**bad))
+    # the same config file makes the command line exit 2 with a message
+    path = write_config(tmp_path, **bad)
+    assert main([bad["suite"], "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_make_curve_families():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from norbrack import spanning
 from norbrack.calculus import bracket_closed_form
 from norbrack.curves import (
     ellipse,
@@ -13,7 +14,7 @@ from norbrack.curves import (
     unit_circle,
 )
 from norbrack.errors import BasisTooLarge, GridMismatch
-from norbrack.fields import PeriodicScalarField, diff4, theta_grid
+from norbrack.fields import PeriodicScalarField, diff4, theta_grid, trig_basis
 from norbrack.spanning import (
     bracket_generators,
     normal_generators,
@@ -102,6 +103,65 @@ def test_span_report_json_keys():
     obj = report.to_json_obj()
     assert set(obj) == {"n", "K", "m", "rank", "full", "sigma_min", "sigma_max", "rank_tol"}
     assert obj["n"] == 16 and obj["K"] == 8
+
+
+def pairwise_brackets(c, max_mode):
+    """The bracket generators one closed-form bracket at a time."""
+    basis = trig_basis(c.grid_n, max_mode)
+    return [
+        bracket_closed_form(c, basis[i], basis[j])
+        for i in range(len(basis))
+        for j in range(i + 1, len(basis))
+    ]
+
+
+def brute_force_spectrum(c, max_mode, rank_tol=spanning.DEFAULT_RANK_TOL):
+    """Singular values and rank of the stacked, column-normalized 2N-row
+    generator matrix, computed directly."""
+    generators = normal_generators(c, max_mode) + bracket_generators(c, max_mode)
+    matrix = np.column_stack([g.vectors.reshape(-1) for g in generators])
+    norms = np.linalg.norm(matrix, axis=0)
+    matrix[:, norms > 0.0] /= norms[norms > 0.0]
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    return sigma, int(np.sum(sigma >= rank_tol * sigma[0]))
+
+
+SPAN_CURVES = {
+    "circle": unit_circle,
+    "ellipse": lambda n: ellipse(n, 1.5, 0.7),
+    "fourier": lambda n: random_fourier_curve(7, n, 6, 3.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SPAN_CURVES))
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_verify_spanning_matches_stacked_svd(n, family):
+    c = SPAN_CURVES[family](n)
+    for max_mode in (n // 2, n // 2 - 1, 3):
+        sigma, rank = brute_force_spectrum(c, max_mode)
+        report = verify_spanning(c, max_mode)
+        assert report.singular_values.shape == sigma.shape
+        assert np.max(np.abs(report.singular_values - sigma)) <= 1e-12 * sigma[0]
+        assert report.rank == rank
+        assert report.num_generators == (2 * max_mode + 1) * (max_mode + 1)
+    # the reference's brackets are those of the one-pair-at-a-time loop
+    for got, want in zip(bracket_generators(c, 3), pairwise_brackets(c, 3), strict=True):
+        assert np.array_equal(got.vectors, want.vectors)
+
+
+def test_verify_spanning_across_bracket_chunks(monkeypatch):
+    # 33 basis functions give 528 bracket columns, factored 50 at a time
+    c = random_fourier_curve(7, 32, 6, 3.0)
+    monkeypatch.setattr(spanning, "_CHUNK_BYTES", 50 * 32 * 8)
+    for max_mode in (16, 15):
+        sigma, rank = brute_force_spectrum(c, max_mode)
+        report = verify_spanning(c, max_mode)
+        assert np.max(np.abs(report.singular_values - sigma)) <= 1e-12 * sigma[0]
+        assert report.rank == rank
+    # one mode below Nyquist (criterion 2's setting) the missing normal
+    # direction is a structural zero, reported exactly
+    assert report.sigma_min == 0.0
+    assert report.normal_rank == 31
 
 
 def test_verify_spanning_rejects_sphere():
