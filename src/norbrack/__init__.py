@@ -90,6 +90,17 @@ from .arclength import (
     project_to_arc,
     write_flow_frames,
 )
-from .cli import ReportRecord, SuiteConfig, emit_report, run_suite
 
 __version__ = "0.1.0"
+
+# The suite runner is loaded on first use, so that running the norbrack.cli
+# module as a script does not find it imported already.
+_CLI_NAMES = ("ReportRecord", "SuiteConfig", "emit_report", "run_suite")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,6 +10,7 @@ n = c x v on the sphere.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,29 @@ class DiscreteImmersion:
     def ambient_dim(self) -> int:
         return self.points.shape[1]
 
+    @functools.cached_property
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(d_theta c, speed, v, n) as read-only arrays, differentiated once.
+
+        Plain arrays only: a cached ImmersionTangent would point back at the
+        curve, and that cycle is freed only by the cyclic garbage collector.
+        A degenerate curve raises here, and nothing is cached, so it raises
+        on every call.  On the sphere n = c x v is stored before the
+        tangent-plane projection that ImmersionTangent applies.
+        """
+        deriv = diff4(self.points)
+        s = np.linalg.norm(deriv, axis=1)
+        if s.min() <= SPEED_FLOOR:
+            raise ImmersionDegenerate(f"minimum speed {s.min():.3e} at or below {SPEED_FLOOR:.0e}")
+        v = deriv / s[:, None]
+        if self.ambient == PLANE:
+            n = np.column_stack([-v[:, 1], v[:, 0]])
+        else:
+            n = np.cross(self.points, v)
+        for arr in (deriv, s, v, n):
+            arr.flags.writeable = False
+        return deriv, s, v, n
+
 
 @dataclass(frozen=True, eq=False)
 class ImmersionTangent:
@@ -91,6 +115,8 @@ class ImmersionTangent:
         object.__setattr__(self, "vectors", vec)
 
     def _check_same_base(self, other: "ImmersionTangent") -> None:
+        if self.base is other.base:
+            return
         if self.base.ambient != other.base.ambient or not np.array_equal(
             self.base.points, other.base.points
         ):
@@ -137,10 +163,7 @@ def pointwise_inner(a: ImmersionTangent, b: ImmersionTangent) -> PeriodicScalarF
 
 def speed(c: DiscreteImmersion) -> PeriodicScalarField:
     """|d_theta c| per node; raises once any sample hits the speed floor."""
-    s = np.linalg.norm(diff4(c.points), axis=1)
-    if s.min() <= SPEED_FLOOR:
-        raise ImmersionDegenerate(f"minimum speed {s.min():.3e} at or below {SPEED_FLOOR:.0e}")
-    return PeriodicScalarField(s)
+    return PeriodicScalarField(c._geometry[1])
 
 
 def frame(c: DiscreteImmersion) -> tuple[ImmersionTangent, ImmersionTangent]:
@@ -149,15 +172,7 @@ def frame(c: DiscreteImmersion) -> tuple[ImmersionTangent, ImmersionTangent]:
     Plane: n = J v with J(x, y) = (-y, x).  Sphere: n = c x v, which is
     automatically tangent to the sphere.
     """
-    deriv = diff4(c.points)
-    s = np.linalg.norm(deriv, axis=1)
-    if s.min() <= SPEED_FLOOR:
-        raise ImmersionDegenerate(f"minimum speed {s.min():.3e} at or below {SPEED_FLOOR:.0e}")
-    v = deriv / s[:, None]
-    if c.ambient == PLANE:
-        n = np.column_stack([-v[:, 1], v[:, 0]])
-    else:
-        n = np.cross(c.points, v)
+    _, _, v, n = c._geometry
     return ImmersionTangent(v, c), ImmersionTangent(n, c)
 
 
@@ -165,14 +180,13 @@ def arclen_deriv(c: DiscreteImmersion, u: PeriodicScalarField) -> PeriodicScalar
     """Arclength derivative D_s u = (d_theta u) / speed."""
     if u.grid_n != c.grid_n:
         raise GridMismatch("field and curve use different grids")
-    return PeriodicScalarField(diff4(u.samples) / speed(c).samples)
+    return PeriodicScalarField(diff4(u.samples) / c._geometry[1])
 
 
 def curvature(c: DiscreteImmersion) -> PeriodicScalarField:
     """Signed curvature <D_s v, n> (geodesic curvature on the sphere)."""
     v, n = frame(c)
-    s = speed(c).samples
-    dv = diff4(v.vectors) / s[:, None]
+    dv = diff4(v.vectors) / c._geometry[1][:, None]
     if c.ambient == SPHERE:
         # remove the ambient component pointing out of the sphere
         dv = dv - np.sum(dv * c.points, axis=1)[:, None] * c.points
@@ -180,6 +194,8 @@ def curvature(c: DiscreteImmersion) -> PeriodicScalarField:
 
 
 def _check_attached(c: DiscreteImmersion, h: ImmersionTangent) -> None:
+    if h.base is c:
+        return
     if h.base.ambient != c.ambient or not np.array_equal(h.base.points, c.points):
         raise GridMismatch("tangent is attached to a different curve")
 
@@ -202,7 +218,7 @@ def split_tangent_normal(c: DiscreteImmersion, h: ImmersionTangent) -> TangentNo
 def recombine(c: DiscreteImmersion, split: TangentNormalSplit) -> ImmersionTangent:
     """Rebuild the vector field m * d_theta(c) + p * n from a split."""
     _, n = frame(c)
-    deriv = diff4(c.points)
+    deriv = c._geometry[0]
     vec = split.tangential_coeff.samples[:, None] * deriv + split.normal_coeff.samples[:, None] * n.vectors
     return ImmersionTangent(vec, c)
 

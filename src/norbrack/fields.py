@@ -7,6 +7,7 @@ Nyquist mode) are load-bearing and documented here once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,26 +33,30 @@ def diff4(values: np.ndarray) -> np.ndarray:
     """Fourth-order central difference along axis 0 of periodic samples.
 
     Exact (bitwise zero) on constant data because the forward and backward
-    shifts cancel before any division happens.
+    shifts cancel before any division happens.  The shifts are slices of one
+    copy padded by two rows of wrap-around at each end.
     """
     a = np.asarray(values, dtype=float)
-    h = TWO_PI / a.shape[0]
-    return (
-        8.0 * (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0))
-        - (np.roll(a, -2, axis=0) - np.roll(a, 2, axis=0))
-    ) / (12.0 * h)
+    n = a.shape[0]
+    h = TWO_PI / n
+    p = np.concatenate((a[-2:], a, a[:2]))
+    return (8.0 * (p[3 : n + 3] - p[1 : n + 1]) - (p[4:] - p[:n])) / (12.0 * h)
 
 
+@functools.lru_cache(maxsize=64)
 def diff4_symbol(n: int) -> np.ndarray:
     """Per-mode derivative factors of the stencil, in rfft bin order.
 
     Applying diff4 to exp(i*m*theta) multiplies it by 1j*lam[m] with
     lam[m] = (8 sin(m h) - sin(2 m h)) / (6 h).  lam vanishes for m = 0 and
-    for the Nyquist bin m = n/2.
+    for the Nyquist bin m = n/2.  Computed once per n; the array is shared
+    and read-only.
     """
     h = TWO_PI / n
     m = np.arange(n // 2 + 1)
-    return (8.0 * np.sin(m * h) - np.sin(2.0 * m * h)) / (6.0 * h)
+    lam = (8.0 * np.sin(m * h) - np.sin(2.0 * m * h)) / (6.0 * h)
+    lam.flags.writeable = False
+    return lam
 
 
 def periodic_primitive(values: np.ndarray) -> np.ndarray:

@@ -32,6 +32,9 @@ DEFAULT_RANK_TOL = 1e-8
 # memory stays bounded while the pair count grows like N^2.
 _CHUNK_BYTES = 32 * 2**20
 
+# Largest estimated working set (working_set_bytes) a spanning check may take.
+WORKING_SET_BUDGET = 2**30
+
 
 @dataclass(frozen=True, eq=False)
 class SpanReport:
@@ -82,6 +85,18 @@ def _check_modes(n: int, max_mode: int) -> None:
         raise BasisTooLarge(
             f"{2 * max_mode + 1} trig functions on {n} nodes (max is n/2 modes)"
         )
+
+
+def working_set_bytes(n: int, max_mode: int) -> int:
+    """Estimated bytes verify_spanning holds at once on n nodes up to max_mode.
+
+    Counts the trig block and its D_s, the two np.triu_indices pair arrays,
+    one bracket chunk and the n x n triangular factor.  A basis beyond n/2
+    modes is rejected before anything is allocated, so it is sized at n/2.
+    """
+    p = min(2 * max_mode + 1, n + 1)
+    pairs = p * (p - 1) // 2
+    return 8 * (2 * p * n + 2 * pairs + n * n) + _CHUNK_BYTES
 
 
 def _trig_rows(n: int, max_mode: int) -> np.ndarray:

@@ -152,6 +152,24 @@ def test_spanning_suite_one_mode_short_fails(tmp_path):
     assert not by_metric["rank_deficit"]["pass"]
 
 
+def test_oversized_spanning_grid_is_config_error_before_any_work(monkeypatch, capsys):
+    # the default K = n/2 at n = 65536 would need tens of GiB; the guard must
+    # refuse it at validation, before a curve or a generator is built
+    import norbrack.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("spanning work started")
+
+    monkeypatch.setattr(cli, "make_curve", never)
+    monkeypatch.setattr(cli.spanning, "verify_spanning", never)
+    assert main(["spanning", "--n", "65536"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_default_spanning_grid_is_within_budget():
+    assert validate_config(SuiteConfig(suite="spanning", grid_n=1024)).grid_n == 1024
+
+
 def test_flags_override_config(tmp_path):
     path = write_config(tmp_path, suite="spanning", grid_n=32)
     out = str(tmp_path / "report.jsonl")
@@ -199,3 +217,13 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert "bracket" in proc.stdout
+
+
+def test_module_invocation_raises_no_warning():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "norbrack.cli", "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

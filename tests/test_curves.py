@@ -1,6 +1,8 @@
 """Discrete immersions: frames, metric quantities, splitting, generators, CSV."""
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -64,6 +66,45 @@ def test_degenerate_curve_is_rejected():
     c = DiscreteImmersion(pts, PLANE)
     with pytest.raises(ImmersionDegenerate):
         speed(c)
+
+
+@pytest.mark.parametrize("make", [lambda: ellipse(64, 2.0, 1.0), lambda: wobbly_sphere_curve(64)])
+def test_repeated_geometry_is_equal_and_read_only(make):
+    c = make()
+    s1, s2 = speed(c), speed(c)
+    (v1, n1), (v2, n2) = frame(c), frame(c)
+    assert np.array_equal(s1.samples, s2.samples)
+    assert np.array_equal(v1.vectors, v2.vectors)
+    assert np.array_equal(n1.vectors, n2.vectors)
+    for arr in (s1.samples, v1.vectors, n1.vectors, v2.vectors):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_degenerate_curve_raises_on_every_call():
+    c = DiscreteImmersion(np.tile([1.0, 0.0], (16, 1)), PLANE)
+    for _ in range(2):
+        with pytest.raises(ImmersionDegenerate):
+            frame(c)
+        with pytest.raises(ImmersionDegenerate):
+            speed(c)
+
+
+def test_curve_with_cached_frame_is_freed_without_the_cycle_collector():
+    # cached geometry must not point back at the curve: a reference cycle
+    # would keep every curve of a flow alive until the cyclic GC runs
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        c = ellipse(32, 2.0, 1.0)
+        frame(c)
+        speed(c)
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_frame_on_unit_circle():

@@ -10,6 +10,7 @@ from norbrack.fields import (
     PeriodicScalarField,
     deriv_theta,
     diff4,
+    diff4_symbol,
     periodic_primitive,
     theta_grid,
     trig_basis,
@@ -31,6 +32,45 @@ def test_diff4_constant_is_exactly_zero():
     # the stencil weights cancel identically, so no rounding survives
     out = diff4(np.full(256, 5.0))
     assert np.array_equal(out, np.zeros(256))
+
+
+def _diff4_by_rolls(values):
+    # the stencil as four whole-array shifts, in the same order of operations
+    a = np.asarray(values, dtype=float)
+    h = 2.0 * np.pi / a.shape[0]
+    return (
+        8.0 * (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0))
+        - (np.roll(a, -2, axis=0) - np.roll(a, 2, axis=0))
+    ) / (12.0 * h)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: rng.standard_normal(256),
+        lambda rng: rng.standard_normal((256, 2)),
+        lambda rng: rng.standard_normal((512, 3)),
+        lambda rng: rng.standard_normal(8),
+        lambda rng: rng.standard_normal((8, 2)),
+        # the transposed (2K+1, n) trig block, as the spanning check passes it
+        lambda rng: rng.standard_normal((2 * 32 + 1, 64)).T,
+        lambda rng: rng.standard_normal((9, 8)).T,
+    ],
+    ids=["n", "n-2", "n-3", "8", "8-2", "trig-block-T", "trig-block-T-8"],
+)
+def test_diff4_is_bitwise_the_rolled_stencil(make):
+    a = make(np.random.default_rng(3))
+    got = diff4(a)
+    assert got.shape == a.shape
+    assert np.array_equal(got, _diff4_by_rolls(a))
+
+
+def test_diff4_symbol_is_shared_and_read_only():
+    lam = diff4_symbol(64)
+    assert lam is diff4_symbol(64)
+    assert lam.shape == (33,)
+    with pytest.raises(ValueError):
+        lam[1] = 0.0
 
 
 def test_diff4_sine_matches_cosine():
