@@ -11,13 +11,11 @@ from .errors import (
     GridMismatch,
     ImmersionDegenerate,
     NorbrackError,
-    NotPositive,
     StepTooLarge,
     SupportViolation,
 )
 from .fields import (
     PeriodicScalarField,
-    deriv_theta,
     diff4,
     periodic_primitive,
     theta_grid,
@@ -47,23 +45,17 @@ from .curves import (
 )
 from .oneforms import (
     ABDecomposition,
-    ChartAtlas,
     OneFormSamples,
     ab_form,
-    build_atlas,
     decompose_oneform,
     decompose_supported,
     reconstruct,
-    span_fdg,
-    span_positive,
 )
 from .calculus import (
-    AmbientConnection,
     CurveField,
     bracket_closed_form,
     bracket_numeric,
     bracket_of_fields,
-    connection,
     constant_field,
     directional_derivative,
     flow_commutator,

@@ -81,13 +81,29 @@ def project_to_arc(
     return ImmersionTangent(vectors, c)
 
 
-def _rk4(
-    c0: DiscreteImmersion, velocity, t: float, steps: int
+def _projected(field: CurveField) -> CurveField:
+    """The field P[F]: c -> project_to_arc(c, F(c))."""
+    return CurveField(lambda c: project_to_arc(c, field(c)), f"P[{field.name}]")
+
+
+def flow_field(
+    c0: DiscreteImmersion, field: CurveField, t: float, steps: int = 100
 ) -> DiscreteImmersion:
+    """RK4 flow of a field as given: dc/dt = F(c).
+
+    Every stage evaluation rebuilds the curve and recomputes its speed, so
+    a flow that pinches the curve raises ImmersionDegenerate mid-way.
+    """
+    if c0.ambient != PLANE:
+        raise ValueError("arc flows are defined for plane curves only")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if t == 0.0:
         return c0
+
+    def velocity(pts: np.ndarray) -> np.ndarray:
+        return field(DiscreteImmersion(pts, c0.ambient)).vectors
+
     dt = t / steps
     pts = np.array(c0.points)
     for _ in range(steps):
@@ -102,33 +118,8 @@ def _rk4(
 def flow_arc(
     c0: DiscreteImmersion, field: CurveField, t: float, steps: int = 100
 ) -> DiscreteImmersion:
-    """RK4 flow of the projected field: dc/dt = project_to_arc(c, F(c)).
-
-    Every stage evaluation rebuilds the curve and recomputes its speed, so
-    a flow that pinches the curve raises ImmersionDegenerate mid-way.
-    """
-    if c0.ambient != PLANE:
-        raise ValueError("arc flows are defined for plane curves only")
-
-    def velocity(pts: np.ndarray) -> np.ndarray:
-        c = DiscreteImmersion(pts, c0.ambient)
-        return project_to_arc(c, field(c)).vectors
-
-    return _rk4(c0, velocity, t, steps)
-
-
-def flow_field(
-    c0: DiscreteImmersion, field: CurveField, t: float, steps: int = 100
-) -> DiscreteImmersion:
-    """RK4 flow of a field as given, with no projection (control runs)."""
-    if c0.ambient != PLANE:
-        raise ValueError("arc flows are defined for plane curves only")
-
-    def velocity(pts: np.ndarray) -> np.ndarray:
-        c = DiscreteImmersion(pts, c0.ambient)
-        return field(c).vectors
-
-    return _rk4(c0, velocity, t, steps)
+    """RK4 flow of the projected field: dc/dt = project_to_arc(c, F(c))."""
+    return flow_field(c0, _projected(field), t, steps)
 
 
 def flow_trajectory(
@@ -185,9 +176,5 @@ def frobenius_defect(
     the bracket itself is from stretching uniformly.  Small values mean the
     projected fields' flows stay on the leaves they started on.
     """
-
-    def projected(field: CurveField) -> CurveField:
-        return CurveField(lambda cc: project_to_arc(cc, field(cc)), f"P[{field.name}]")
-
-    bracket = bracket_of_fields(projected(f1), projected(f2), c, eps)
+    bracket = bracket_of_fields(_projected(f1), _projected(f2), c, eps)
     return arc_defect(c, bracket).defect_norm

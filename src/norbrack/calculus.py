@@ -9,14 +9,12 @@ to the sphere's tangent planes, which realizes the ambient connection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .curves import (
     PLANE,
-    SPHERE,
     DiscreteImmersion,
     ImmersionTangent,
     _check_attached,
@@ -30,27 +28,18 @@ from .errors import GridMismatch, StepTooLarge
 from .fields import PeriodicScalarField
 
 
-@dataclass(frozen=True)
-class AmbientConnection:
-    """Pointwise tangent projection and retraction for an ambient space."""
-
-    ambient: str
-
-    def project(self, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        if self.ambient == PLANE:
-            return np.array(vectors, dtype=float)
-        return vectors - np.sum(vectors * points, axis=1)[:, None] * points
-
-    def retract(self, points: np.ndarray) -> np.ndarray:
-        if self.ambient == PLANE:
-            return np.array(points, dtype=float)
-        return points / np.linalg.norm(points, axis=1)[:, None]
+def _retract(ambient: str, points: np.ndarray) -> np.ndarray:
+    """Pull ambient points back onto the ambient space (a copy in the plane)."""
+    if ambient == PLANE:
+        return np.array(points, dtype=float)
+    return points / np.linalg.norm(points, axis=1)[:, None]
 
 
-def connection(ambient: str) -> AmbientConnection:
-    if ambient not in (PLANE, SPHERE):
-        raise ValueError(f"unknown ambient {ambient!r}")
-    return AmbientConnection(ambient)
+def _project(ambient: str, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Project vectors at the given points onto the ambient's tangent planes."""
+    if ambient == PLANE:
+        return np.array(vectors, dtype=float)
+    return vectors - np.sum(vectors * points, axis=1)[:, None] * points
 
 
 class CurveField:
@@ -122,8 +111,7 @@ def constant_field(w, name: str | None = None) -> CurveField:
 
 
 def _perturbed(c: DiscreteImmersion, direction: np.ndarray, eps: float) -> DiscreteImmersion:
-    conn = connection(c.ambient)
-    shifted = conn.retract(c.points + eps * direction)
+    shifted = _retract(c.ambient, c.points + eps * direction)
     moved = DiscreteImmersion(shifted, c.ambient)
     speed(moved)  # raises ImmersionDegenerate if the perturbation pinched the curve
     return moved
@@ -146,7 +134,7 @@ def directional_derivative(
     plus = field(_perturbed(c, direction.vectors, eps))
     minus = field(_perturbed(c, direction.vectors, -eps))
     diff = (plus.vectors - minus.vectors) / (2.0 * eps)
-    return ImmersionTangent(connection(c.ambient).project(c.points, diff), c)
+    return ImmersionTangent(_project(c.ambient, c.points, diff), c)
 
 
 def bracket_of_fields(
@@ -163,10 +151,9 @@ def _flow_leg(points: np.ndarray, field: CurveField, step: float, ambient: str) 
     would leave a first-order self-interaction residue in the commutator
     product, swamping the bracket itself.
     """
-    conn = connection(ambient)
-    half = conn.retract(points + (0.5 * step) * field(DiscreteImmersion(points, ambient)).vectors)
+    half = _retract(ambient, points + (0.5 * step) * field(DiscreteImmersion(points, ambient)).vectors)
     k = field(DiscreteImmersion(half, ambient)).vectors
-    return conn.retract(points + step * k)
+    return _retract(ambient, points + step * k)
 
 
 def _commutator_endpoint(
@@ -191,7 +178,7 @@ def flow_commutator(
     forward = _commutator_endpoint(c, x, y, eps)
     backward = _commutator_endpoint(c, x, y, -eps)
     delta = (forward + backward - 2.0 * c.points) / (2.0 * eps * eps)
-    return ImmersionTangent(connection(c.ambient).project(c.points, delta), c)
+    return ImmersionTangent(_project(c.ambient, c.points, delta), c)
 
 
 def torsion_defect(

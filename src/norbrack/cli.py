@@ -495,19 +495,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else SuiteConfig(suite=args.suite)
-        if args.suite:
-            cfg = replace(cfg, suite=args.suite)
+        cfg = replace(cfg, suite=args.suite)
         if args.n is not None:
             cfg = replace(cfg, grid_n=args.n)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
-        cfg = validate_config(cfg)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except TypeError as exc:
+    except (ConfigInvalid, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

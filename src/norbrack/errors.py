@@ -17,10 +17,6 @@ class GenerationFailed(NorbrackError):
     """Random curve generation could not reach the requested speed floor."""
 
 
-class NotPositive(NorbrackError):
-    """A coefficient that must be strictly positive was not."""
-
-
 class SupportViolation(NorbrackError):
     """Samples are nonzero outside the window they must vanish on."""
 

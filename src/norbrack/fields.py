@@ -148,11 +148,6 @@ class PeriodicScalarField:
         return float(self.samples.mean())
 
 
-def deriv_theta(u: PeriodicScalarField) -> PeriodicScalarField:
-    """Fourth-order finite-difference derivative d/dtheta."""
-    return PeriodicScalarField(diff4(u.samples))
-
-
 def trig_basis(n: int, max_mode: int) -> list[PeriodicScalarField]:
     """The functions 1, cos(k theta), sin(k theta) for k = 1..max_mode.
 

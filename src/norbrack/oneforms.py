@@ -1,15 +1,13 @@
 """Decomposing one-forms on the circle into sums of a*db terms.
 
-A one-form alpha is stored through its values alpha(d_theta) on the grid.
-The basic building block is the antisymmetric combination
-a*db - b*da.  decompose_oneform writes any sampled one-form as at most
-three such terms that reconstruct it up to rounding under the package's
-stencil: the circle's Hodge split alpha = dg + c dtheta, plus one term for
-the alternating Nyquist mode that the stencil's kernel hides.
-decompose_supported multiplies those terms by a plateau to keep them inside
-a window.  The single-term constructions span_positive and span_fdg, and the
-four-chart atlas with sin/cos coordinates and a partition of unity, are kept
-as standalone building blocks; no decomposition uses them.
+A one-form alpha is stored through its values alpha(d_theta) on the grid,
+in the same validated container as any scalar field.  The basic building
+block is the antisymmetric combination a*db - b*da.  decompose_oneform
+writes any sampled one-form as at most three such terms that reconstruct it
+up to rounding under the package's stencil: the circle's Hodge split
+alpha = dg + c dtheta, plus one term for the alternating Nyquist mode that
+the stencil's kernel hides.  decompose_supported multiplies those terms by a
+plateau to keep them inside a window.
 """
 
 from __future__ import annotations
@@ -19,37 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, NotPositive, SupportViolation
+from .errors import GridMismatch, SupportViolation
 from .fields import (
     PeriodicScalarField,
     TWO_PI,
-    _validate_grid_n,
-    deriv_theta,
+    diff4,
     diff4_symbol,
     periodic_primitive,
     theta_grid,
 )
 
-
-@dataclass(frozen=True, eq=False)
-class OneFormSamples:
-    """Values alpha(d_theta) at the grid nodes."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float).copy()
-        if arr.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        _validate_grid_n(arr.shape[0])
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
-
-    @property
-    def grid_n(self) -> int:
-        return self.samples.shape[0]
+# Values alpha(d_theta) at the grid nodes.
+OneFormSamples = PeriodicScalarField
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +65,7 @@ def ab_form(a: PeriodicScalarField, b: PeriodicScalarField) -> OneFormSamples:
     """The one-form a db - b da evaluated on d_theta."""
     if a.grid_n != b.grid_n:
         raise GridMismatch("a and b use different grids")
-    return OneFormSamples(
-        a.samples * deriv_theta(b).samples - b.samples * deriv_theta(a).samples
-    )
+    return OneFormSamples(a.samples * diff4(b.samples) - b.samples * diff4(a.samples))
 
 
 def reconstruct(dec: ABDecomposition, n: int | None = None) -> OneFormSamples:
@@ -103,42 +80,6 @@ def reconstruct(dec: ABDecomposition, n: int | None = None) -> OneFormSamples:
     return OneFormSamples(total)
 
 
-def span_positive(f: PeriodicScalarField, g: PeriodicScalarField) -> ABDecomposition:
-    """Write f dg with strictly positive f as a single a db - b da term.
-
-    Uses a = sqrt(f exp(-g)), b = sqrt(f exp(g)); then a db - b da = f dg
-    identically, so the only reconstruction error is the differentiation
-    error on the two square-root composites.
-    """
-    if f.grid_n != g.grid_n:
-        raise GridMismatch("f and g use different grids")
-    if f.min() <= 0.0:
-        raise NotPositive(f"min f = {f.min():.3e}, need strictly positive f")
-    a = PeriodicScalarField(np.sqrt(f.samples * np.exp(-g.samples)))
-    b = PeriodicScalarField(np.sqrt(f.samples * np.exp(g.samples)))
-    return ABDecomposition(((1.0, a, b),))
-
-
-def span_fdg(f: PeriodicScalarField, g: PeriodicScalarField) -> ABDecomposition:
-    """Write f dg for arbitrary f as at most two a db - b da terms.
-
-    Shifts f up by C + 1 with C = max(0, -min f) so the positive-coefficient
-    construction applies, then subtracts the constant shift using the exact
-    term (C + 1) * (1 dg): with a = 1, da vanishes identically under the
-    stencil, so that correction term introduces no extra error.
-    """
-    if f.grid_n != g.grid_n:
-        raise GridMismatch("f and g use different grids")
-    shift = max(0.0, -f.min()) + 1.0
-    lifted = span_positive(f + shift, g)
-    one = PeriodicScalarField.constant(1.0, g.grid_n)
-    return ABDecomposition(lifted.terms + ((-shift, one, g),))
-
-
-_BUMP_HALF_WIDTH = 3.0 * np.pi / 8.0
-_CHART_CENTERS = (0.0, np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0)
-
-
 def _bump(t: np.ndarray) -> np.ndarray:
     """Standard smooth bump exp(-1/(1-t^2)) on (-1, 1), exactly 0 outside."""
     t = np.asarray(t, dtype=float)
@@ -147,49 +88,6 @@ def _bump(t: np.ndarray) -> np.ndarray:
     ti = t[inside]
     out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
     return out
-
-
-def _circular_distance(theta: np.ndarray, center: float) -> np.ndarray:
-    d = np.abs((theta - center) % TWO_PI)
-    return np.minimum(d, TWO_PI - d)
-
-
-@dataclass(frozen=True, eq=False)
-class ChartAtlas:
-    """Four overlapping arcs with sin/cos coordinates and a partition of unity.
-
-    Arcs are centered at 0, pi/2, pi, 3pi/2 with half-width 3pi/8.  The
-    coordinate is sin(theta) on the arcs around 0 and pi and cos(theta) on
-    the arcs around pi/2 and 3pi/2, so its derivative stays bounded away
-    from zero (by cos(3pi/8)) on each support.
-    """
-
-    grid_n: int
-    partitions: tuple
-    coords: tuple
-    centers: tuple = _CHART_CENTERS
-    half_width: float = _BUMP_HALF_WIDTH
-
-    @property
-    def num_charts(self) -> int:
-        return len(self.partitions)
-
-
-def build_atlas(n: int) -> ChartAtlas:
-    """The standard four-chart atlas on an n-point grid."""
-    theta = theta_grid(n)
-    raw = np.stack(
-        [_bump(_circular_distance(theta, c) / _BUMP_HALF_WIDTH) for c in _CHART_CENTERS]
-    )
-    total = raw.sum(axis=0)
-    partitions = tuple(PeriodicScalarField(row / total) for row in raw)
-    coords = (
-        PeriodicScalarField(np.sin(theta)),
-        PeriodicScalarField(np.cos(theta)),
-        PeriodicScalarField(np.sin(theta)),
-        PeriodicScalarField(np.cos(theta)),
-    )
-    return ChartAtlas(grid_n=n, partitions=partitions, coords=coords)
 
 
 def decompose_oneform(alpha: OneFormSamples) -> ABDecomposition:

@@ -24,7 +24,7 @@ import numpy as np
 from .curves import PLANE, DiscreteImmersion, ImmersionTangent, frame, speed
 from .errors import BasisTooLarge, GridMismatch
 from .fields import PeriodicScalarField, diff4, trig_basis
-from .oneforms import ABDecomposition, OneFormSamples, decompose_oneform
+from .oneforms import ABDecomposition, decompose_oneform
 
 DEFAULT_RANK_TOL = 1e-8
 
@@ -93,6 +93,12 @@ def working_set_bytes(n: int, max_mode: int) -> int:
     Counts the trig block and its D_s, the two np.triu_indices pair arrays,
     one bracket chunk and the n x n triangular factor.  A basis beyond n/2
     modes is rejected before anything is allocated, so it is sized at n/2.
+
+    WORKING_SET_BUDGET bounds this estimate, not the peak memory: QR
+    workspace, the vstack copy and the diff4 temporaries are not counted.
+    Measured peak RSS above the interpreter's baseline is 2.2-2.9 times the
+    estimate (188 MiB at n = 1024, 360 MiB at n = 2048), so the largest
+    admitted config should peak at about 3 GiB; that peak was not run.
     """
     p = min(2 * max_mode + 1, n + 1)
     pairs = p * (p - 1) // 2
@@ -201,5 +207,4 @@ def synthesize_tangential(c: DiscreteImmersion, m: PeriodicScalarField) -> ABDec
     if m.grid_n != c.grid_n:
         raise GridMismatch("coefficient field and curve use different grids")
     s = speed(c)
-    alpha = OneFormSamples((m * s * s).samples)
-    return decompose_oneform(alpha)
+    return decompose_oneform(m * s * s)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from norbrack.errors import GridMismatch
 from norbrack.fields import (
     PeriodicScalarField,
-    deriv_theta,
     diff4,
     diff4_symbol,
     periodic_primitive,
@@ -151,13 +150,13 @@ coeff = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 
 @given(a=coeff, b=coeff, k=st.integers(min_value=1, max_value=5))
 @settings(max_examples=50, deadline=None)
-def test_deriv_theta_is_linear(a, b, k):
+def test_diff4_is_linear(a, b, k):
     th = theta_grid(64)
-    u = PeriodicScalarField(np.cos(k * th))
-    w = PeriodicScalarField(np.sin(th))
-    lhs = deriv_theta(u * a + w * b)
-    rhs = deriv_theta(u) * a + deriv_theta(w) * b
-    np.testing.assert_allclose(lhs.samples, rhs.samples, atol=1e-12)
+    u = np.cos(k * th)
+    w = np.sin(th)
+    lhs = diff4(u * a + w * b)
+    rhs = diff4(u) * a + diff4(w) * b
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 @given(j=st.integers(min_value=0, max_value=63))

@@ -1,4 +1,5 @@
-"""One-form spanning: a db - b da terms, chart atlas, decompositions."""
+"""One-forms on the circle: a db - b da terms, Hodge-split and supported
+decompositions, reconstruction and JSON export."""
 
 import json
 
@@ -8,17 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import band_limited, rel_l2
-from norbrack.errors import GridMismatch, NotPositive, SupportViolation
-from norbrack.fields import PeriodicScalarField, deriv_theta, diff4, theta_grid
+from norbrack.errors import GridMismatch, SupportViolation
+from norbrack.fields import PeriodicScalarField, diff4, theta_grid
 from norbrack.oneforms import (
+    ABDecomposition,
     OneFormSamples,
     ab_form,
-    build_atlas,
     decompose_oneform,
     decompose_supported,
     reconstruct,
-    span_fdg,
-    span_positive,
 )
 
 
@@ -36,7 +35,7 @@ def test_ab_form_with_unit_left_argument_reduces_to_derivative():
     th = theta_grid(64)
     g = field(np.cos(2 * th))
     one = PeriodicScalarField.constant(1.0, 64)
-    assert np.array_equal(ab_form(one, g).samples, deriv_theta(g).samples)
+    assert np.array_equal(ab_form(one, g).samples, diff4(g.samples))
 
 
 def test_ab_form_cos_sin_is_constant_one():
@@ -59,88 +58,18 @@ def test_ab_form_antisymmetry_is_bitwise(seed):
     assert np.array_equal(ab_form(a, b).samples, -ab_form(b, a).samples)
 
 
-def test_span_positive_requires_positive_f():
-    th = theta_grid(64)
-    with pytest.raises(NotPositive):
-        span_positive(field(np.sin(th)), field(np.cos(th)))
-
-
-def test_span_positive_structure_and_examples():
-    n = 256
-    th = theta_grid(n)
-    dec = span_positive(PeriodicScalarField.constant(1.0, n), field(np.sin(th)))
-    assert len(dec) == 1
-    coeff, a, b = dec.terms[0]
-    assert coeff == 1.0
-    np.testing.assert_allclose((a * b).samples, 1.0, atol=1e-14)
-    err = np.max(np.abs(reconstruct(dec, n).samples - np.cos(th)))
-    assert err <= 1e-5
-
-    f = field(1.0 + 0.5 * np.sin(th))
-    dec = span_positive(f, field(np.cos(th)))
-    want = f.samples * (-np.sin(th))
-    assert np.max(np.abs(reconstruct(dec, n).samples - want)) <= 1e-5
-
-
-def test_span_positive_constant_g_reconstructs_exact_zero():
-    dec = span_positive(PeriodicScalarField.constant(2.0, 64), PeriodicScalarField.constant(0.7, 64))
-    assert np.array_equal(reconstruct(dec, 64).samples, np.zeros(64))
-
-
-def test_span_fdg_examples():
-    n = 256
-    th = theta_grid(n)
-    dec = span_fdg(field(np.sin(th)), field(np.cos(th)))
-    assert len(dec) == 2
-    want = np.sin(th) * (-np.sin(th))
-    assert np.max(np.abs(reconstruct(dec, n).samples - want)) <= 1e-5
-
-    dec = span_fdg(PeriodicScalarField.constant(-3.0, n), field(np.sin(th)))
-    assert np.max(np.abs(reconstruct(dec, n).samples + 3.0 * np.cos(th))) <= 1e-5
-
-
-def test_span_fdg_keeps_exact_remainder_term():
-    # f >= 1 keeps the shift at 1; the remainder (-1, 1, g) differentiates g exactly
-    th = theta_grid(64)
-    g = field(np.cos(th))
-    dec = span_fdg(field(1.5 + np.sin(th) ** 2), g)
-    coeff, a, b = dec.terms[-1]
-    assert coeff == -1.0
-    assert np.array_equal(a.samples, np.ones(64))
-    assert np.array_equal(b.samples, g.samples)
-
-
-def test_atlas_partition_of_unity():
-    atlas = build_atlas(256)
-    assert atlas.num_charts == 4
-    total = sum(p.samples for p in atlas.partitions)
-    np.testing.assert_allclose(total, 1.0, atol=1e-12)
-
-
-def test_atlas_bumps_vanish_identically_off_their_arcs():
-    n = 256
-    th = theta_grid(n)
-    atlas = build_atlas(n)
-    for center, part in zip(atlas.centers, atlas.partitions):
-        dist = np.abs((th - center + np.pi) % (2 * np.pi) - np.pi)
-        outside = dist >= atlas.half_width
-        assert np.array_equal(part.samples[outside], np.zeros(outside.sum()))
-    # the arc centered at pi is a quarter turn clear of theta = 0
-    assert atlas.partitions[2].samples[0] == 0.0
-
-
-def test_atlas_coordinate_derivative_bounded_on_supports():
-    atlas = build_atlas(256)
-    bound = np.cos(3 * np.pi / 8)
-    for part, coord in zip(atlas.partitions, atlas.coords):
-        support = part.samples > 0.0
-        assert np.min(np.abs(diff4(coord.samples)[support])) >= bound
-
-
 def test_decompose_zero_form_is_empty():
     dec = decompose_oneform(OneFormSamples(np.zeros(64)))
     assert len(dec) == 0
     assert np.array_equal(reconstruct(dec, 64).samples, np.zeros(64))
+
+
+def test_reconstruct_empty_decomposition_needs_a_grid():
+    with pytest.raises(ValueError):
+        reconstruct(ABDecomposition(()))
+    out = reconstruct(ABDecomposition(()), 16)
+    assert out.grid_n == 16
+    assert np.array_equal(out.samples, np.zeros(16))
 
 
 # These ceilings pinned the floor of the earlier four-chart atlas
@@ -205,11 +134,14 @@ def test_decompose_low_mode_forms_reconstruct_within_1e4(c0, c1, s1, c5, s5):
 
 def test_decomposition_json_export():
     th = theta_grid(64)
-    dec = span_fdg(field(np.sin(th)), field(np.cos(th)))
+    dec = decompose_oneform(OneFormSamples(0.5 + np.sin(th) + 0.2 * np.cos(32 * th)))
     parsed = json.loads(dec.to_json())
-    assert len(parsed) == len(dec)
-    assert set(parsed[0]) == {"coeff", "a", "b"}
-    assert len(parsed[0]["a"]) == 64
+    assert len(parsed) == len(dec) == 3
+    for (coeff, a, b), term in zip(dec.terms, parsed):
+        assert set(term) == {"coeff", "a", "b"}
+        assert term["coeff"] == coeff
+        assert term["a"] == a.samples.tolist()
+        assert term["b"] == b.samples.tolist()
 
 
 def localized_bump(th, center, half_width):
