@@ -64,9 +64,11 @@ def project_to_arc(
     psi solves D_s psi = mean(u) - u: its periodic primitive is obtained by
     inverting the difference stencil itself (not by quadrature), so the
     corrected stretch rate is constant to the same accuracy the defect is
-    measured with.  A few fixed passes absorb the stencil's product-rule
-    residue, making the map idempotent to rounding while staying linear in
-    h (no data-dependent branching).
+    measured with.  Each pass absorbs most of the stencil's product-rule
+    residue, and the fixed pass count keeps the map linear in h (no
+    data-dependent branching).  Three passes are not idempotent to
+    rounding: for h = cos * n on the 1.5 x 0.7 ellipse at n = 128, the
+    arc_defect norm is 2.1e-8 after 3 passes and 3.3e-14 after 6.
     """
     _check_attached(c, h)
     s = speed(c).samples

@@ -209,14 +209,13 @@ def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
     raise ConfigInvalid(f"unknown curve family {cfg.family!r}")
 
 
-def _named_trig_pairs(n: int, max_mode: int):
+def _trig_pairs(n: int, max_mode: int):
+    """Case names, the trig basis and its index pairs i < j, in record order."""
     names = ["1"]
     for k in range(1, max_mode + 1):
         names += [f"cos{k}", f"sin{k}"]
-    basis = trig_basis(n, max_mode)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            yield f"{names[i]},{names[j]}", basis[i], basis[j]
+    pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
+    return [f"{names[i]},{names[j]}" for i, j in pairs], trig_basis(n, max_mode), pairs
 
 
 def _tol(cfg: SuiteConfig, metric: str, default: float) -> float:
@@ -245,10 +244,19 @@ def _suite_bracket(cfg: SuiteConfig) -> list[ReportRecord]:
     records: list[ReportRecord] = []
     _, nrm = frame(c)
     leak = 0.0
-    for case, a, b in _named_trig_pairs(c.grid_n, max_mode):
+    cases, basis, pairs = _trig_pairs(c.grid_n, max_mode)
+    batched = calculus._pairwise(calculus._NormalPairs.bracket, c, basis, pairs, eps)
+    for case, (i, j), got in zip(cases, pairs, batched):
+        if got is not None:
+            value, pair_leak = got
+            records.append(_record(cfg, case, "bracket_max_diff", value, tol))
+            leak = max(leak, pair_leak)
+            continue
+        # a check raised in this pair's chunk: the per-pair functions
+        # reproduce the error, or the value, on their own
         numeric = None
 
-        def compute(a=a, b=b):
+        def compute(a=basis[i], b=basis[j]):
             nonlocal numeric
             numeric = calculus.bracket_numeric(c, a, b, eps)
             closed = calculus.bracket_closed_form(c, a, b)
@@ -271,14 +279,19 @@ def _suite_torsion(cfg: SuiteConfig) -> list[ReportRecord]:
     max_mode = cfg.modes if cfg.modes is not None else 4
     tol = _ambient_tol(cfg, "torsion_defect", 1e-3, 1e-2)
     records: list[ReportRecord] = []
-    for case, a, b in _named_trig_pairs(c.grid_n, max_mode):
+    cases, basis, pairs = _trig_pairs(c.grid_n, max_mode)
+    batched = calculus._pairwise(calculus._NormalPairs.torsion, c, basis, pairs, eps)
+    for case, (i, j), got in zip(cases, pairs, batched):
+        if got is not None:
+            records.append(_record(cfg, case, "torsion_defect", got, tol))
+            continue
         _guarded(
             records,
             cfg,
             case,
             "torsion_defect",
             tol,
-            lambda a=a, b=b: calculus.torsion_defect(
+            lambda a=basis[i], b=basis[j]: calculus.torsion_defect(
                 c, calculus.normal_field(a), calculus.normal_field(b), eps
             ),
         )
@@ -381,8 +394,19 @@ def _suite_oneform(cfg: SuiteConfig) -> list[ReportRecord]:
         oneforms._bump((theta - np.pi / 2.0) / (np.pi / 6.0)) * np.cos(theta)
     )
 
+    # both checks read one decomposition; if it raises, both records error
+    try:
+        supported, failure = oneforms.decompose_supported(localized, window), None
+    except (NorbrackError, ValueError) as exc:
+        supported, failure = None, exc
+
+    def decomposition():
+        if failure is not None:
+            raise failure
+        return supported
+
     def compute_outside():
-        dec = oneforms.decompose_supported(localized, window)
+        dec = decomposition()
         offsets, length = oneforms._window_offsets(theta, *window)
         outside = ~((offsets > 0.0) & (offsets < length))
         worst = 0.0
@@ -391,7 +415,7 @@ def _suite_oneform(cfg: SuiteConfig) -> list[ReportRecord]:
         return worst
 
     def compute_supported():
-        dec = oneforms.decompose_supported(localized, window)
+        dec = decomposition()
         recon = oneforms.reconstruct(dec, n)
         return _rel_l2(recon.samples - localized.samples, localized.samples)
 

@@ -74,18 +74,32 @@ class DiscreteImmersion:
         on every call.  On the sphere n = c x v is stored before the
         tangent-plane projection that ImmersionTangent applies.
         """
-        deriv = diff4(self.points)
-        s = np.linalg.norm(deriv, axis=1)
-        if s.min() <= SPEED_FLOOR:
-            raise ImmersionDegenerate(f"minimum speed {s.min():.3e} at or below {SPEED_FLOOR:.0e}")
-        v = deriv / s[:, None]
-        if self.ambient == PLANE:
-            n = np.column_stack([-v[:, 1], v[:, 0]])
-        else:
-            n = np.cross(self.points, v)
-        for arr in (deriv, s, v, n):
+        geometry = _frames(self.ambient, self.points)
+        for arr in geometry:
             arr.flags.writeable = False
-        return deriv, s, v, n
+        return geometry
+
+
+def _frames(ambient: str, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(d_theta c, speed, v, n) of one curve, points shaped (n, d), or of m
+    curves stacked as points shaped (n, m, d).
+
+    The one copy of the frame formula.  The coordinate axis stays last and
+    contiguous, so every per-node norm adds its terms in the same order for
+    a stack as for a single curve, and stacked frames are bitwise equal to
+    DiscreteImmersion's.  Raises ImmersionDegenerate when any curve of the
+    stack reaches the speed floor.
+    """
+    deriv = diff4(points)
+    s = np.linalg.norm(deriv, axis=-1)
+    if s.min() <= SPEED_FLOOR:
+        raise ImmersionDegenerate(f"minimum speed {s.min():.3e} at or below {SPEED_FLOOR:.0e}")
+    v = deriv / s[..., None]
+    if ambient == PLANE:
+        n = np.stack([-v[..., 1], v[..., 0]], axis=-1)
+    else:
+        n = np.cross(points, v)
+    return deriv, s, v, n
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from norbrack import calculus
 from norbrack.calculus import (
     bracket_closed_form,
     bracket_numeric,
@@ -24,11 +25,13 @@ from norbrack.curves import (
     ellipse,
     frame,
     great_circle,
+    latitude_circle,
     pointwise_inner,
+    random_fourier_curve,
     unit_circle,
 )
 from norbrack.errors import GridMismatch, StepTooLarge
-from norbrack.fields import PeriodicScalarField, theta_grid
+from norbrack.fields import PeriodicScalarField, theta_grid, trig_basis
 
 from conftest import wobbly_sphere_curve
 
@@ -239,3 +242,36 @@ def test_curve_field_algebra():
     combo = (2.0 * normal_field() - tangent_field())(c)
     want = nn * 2.0 - v
     assert (combo - want).max_norm() == 0.0
+
+
+BATCH_CURVES = {
+    "circle": lambda: unit_circle(64),
+    "ellipse": lambda: ellipse(64, 1.5, 0.7),
+    "fourier": lambda: random_fourier_curve(3, 64, 5, 2.5),
+    "great circle": lambda: great_circle(64),
+    "latitude": lambda: latitude_circle(64, 0.6),
+    "wobbly sphere": lambda: wobbly_sphere_curve(64),
+}
+
+
+@pytest.mark.parametrize("modes, count", [(4, 36), (3, 21), (0, 0)])
+@pytest.mark.parametrize("curve", list(BATCH_CURVES))
+def test_batched_pairs_are_bitwise_equal_to_per_pair_loop(curve, modes, count, monkeypatch):
+    c = BATCH_CURVES[curve]()
+    # chunks of 6 pairs: 21 pairs end in a partial chunk, and the 9 basis
+    # functions of modes = 4 are perturbed in two chunks
+    monkeypatch.setattr(calculus, "_CHUNK_BYTES", 6 * c.points.nbytes)
+    basis = trig_basis(64, modes)
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    assert len(pairs) == count
+    _, nrm = frame(c)
+    brackets, torsions = [], []
+    for i, j in pairs:
+        a, b = basis[i], basis[j]
+        numeric = bracket_numeric(c, a, b, 1e-5)
+        brackets.append(
+            ((numeric - bracket_closed_form(c, a, b)).max_norm(), pointwise_inner(numeric, nrm).max_abs())
+        )
+        torsions.append(torsion_defect(c, normal_field(a), normal_field(b), 1e-4))
+    assert calculus._pairwise(calculus._NormalPairs.bracket, c, basis, pairs, 1e-5) == brackets
+    assert calculus._pairwise(calculus._NormalPairs.torsion, c, basis, pairs, 1e-4) == torsions

@@ -7,7 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+import norbrack.curves as curves
+from norbrack import calculus, oneforms
 from norbrack.cli import (
+    _DEFAULT_EPS,
     ReportRecord,
     SuiteConfig,
     emit_report,
@@ -17,8 +20,9 @@ from norbrack.cli import (
     run_suite,
     validate_config,
 )
-from norbrack.curves import random_fourier_curve, save_curve_csv, unit_circle
-from norbrack.errors import ConfigInvalid
+from norbrack.curves import frame, pointwise_inner, random_fourier_curve, save_curve_csv, unit_circle
+from norbrack.errors import ConfigInvalid, NorbrackError, SupportViolation
+from norbrack.fields import trig_basis
 
 
 def write_config(tmp_path, **kwargs):
@@ -227,3 +231,101 @@ def test_module_invocation_raises_no_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def per_pair_records(suite, c, modes, eps):
+    """(case, value) of a bracket or torsion run, from the per-pair functions."""
+    names = ["1"] + [f"{kind}{k}" for k in range(1, modes + 1) for kind in ("cos", "sin")]
+    basis = trig_basis(c.grid_n, modes)
+    _, nrm = frame(c)
+    out, leak = [], 0.0
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            case, a, b = f"{names[i]},{names[j]}", basis[i], basis[j]
+            numeric = None
+            try:
+                if suite == "bracket":
+                    numeric = calculus.bracket_numeric(c, a, b, eps)
+                    value = (numeric - calculus.bracket_closed_form(c, a, b)).max_norm()
+                else:
+                    value = calculus.torsion_defect(c, calculus.normal_field(a), calculus.normal_field(b), eps)
+            except (NorbrackError, ValueError) as exc:
+                case, value = f"{case} [{type(exc).__name__}: {exc}]", np.inf
+            out.append((case, value))
+            if suite == "bracket":
+                leak = np.inf if numeric is None else max(leak, pointwise_inner(numeric, nrm).max_abs())
+    if suite == "bracket":
+        out.append(("all pairs", leak))
+    return out
+
+
+def test_bracket_suite_without_pairs_reports_zero_leak():
+    records = run_suite(SuiteConfig(suite="bracket", grid_n=64, modes=0))
+    assert [(rec.case, rec.metric, rec.value) for rec in records] == [("all pairs", "bracket_normal_leak", 0.0)]
+
+
+@pytest.mark.parametrize("suite", ["bracket", "torsion"])
+def test_step_too_large_records_match_per_pair_functions(suite):
+    cfg = SuiteConfig(suite=suite, grid_n=64, eps=0.5)
+    records = run_suite(cfg)
+    assert [(rec.case, rec.value) for rec in records] == per_pair_records(suite, make_curve(cfg), 4, 0.5)
+    assert all("StepTooLarge" in rec.case for rec in records if rec.metric != "bracket_normal_leak")
+    assert all(not rec.passed for rec in records)
+
+
+# The 1.5 x 0.7 ellipse at n = 64 has minimum speed 0.6999978.  Normal
+# perturbations at bracket's eps = 1e-5 pinch it to 0.699979 where the
+# coefficient is 1 at theta = 0 (the constant and the cosines), and the flow
+# loops of torsion's eps = 1e-4 pinch it below 0.6996 for some pairs only.
+@pytest.mark.parametrize("suite, floor", [("bracket", 0.69998), ("torsion", 0.6996)])
+def test_pinched_pairs_fall_back_to_per_pair_functions(suite, floor, monkeypatch):
+    cfg = SuiteConfig(suite=suite, grid_n=64, family="ellipse:1.5,0.7")
+    c = make_curve(cfg)
+    monkeypatch.setattr(curves, "SPEED_FLOOR", floor)
+    # two pairs a chunk, so that torsion has chunks on both paths
+    monkeypatch.setattr(calculus, "_CHUNK_BYTES", 2 * c.points.nbytes)
+    records = run_suite(cfg)
+    assert [(rec.case, rec.value) for rec in records] == per_pair_records(suite, c, 4, _DEFAULT_EPS[suite])
+    errored = [rec for rec in records if "ImmersionDegenerate" in rec.case]
+    assert 0 < len(errored) < 36
+    if suite == "bracket":
+        assert records[-1].metric == "bracket_normal_leak" and records[-1].value == np.inf
+    else:
+        basis = trig_basis(64, 4)
+        pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+        batched = calculus._pairwise(calculus._NormalPairs.torsion, c, basis, pairs, 1e-4)
+        assert len(errored) < batched.count(None) < 36
+
+
+def oneform_records():
+    return [(rec.case, rec.metric, rec.value) for rec in run_suite(SuiteConfig(suite="oneform", grid_n=64, cases=2))]
+
+
+def test_oneform_suite_decomposes_the_localized_form_once(monkeypatch):
+    want = oneform_records()
+    calls = []
+    decompose_supported = oneforms.decompose_supported
+
+    def counted(*args):
+        calls.append(args)
+        return decompose_supported(*args)
+
+    monkeypatch.setattr(oneforms, "decompose_supported", counted)
+    assert oneform_records() == want
+    assert len(calls) == 1
+
+
+def test_oneform_suite_decomposition_error_fails_both_records(monkeypatch):
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise SupportViolation("one-form reaches 1 outside the window")
+
+    monkeypatch.setattr(oneforms, "decompose_supported", failing)
+    localized = [rec for rec in oneform_records() if rec[1].startswith("supported_")]
+    assert len(calls) == 1
+    assert localized == [
+        ("localized form [SupportViolation: one-form reaches 1 outside the window]", metric, np.inf)
+        for metric in ("supported_outside_max", "supported_rel_l2")
+    ]

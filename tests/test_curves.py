@@ -15,6 +15,7 @@ from norbrack.curves import (
     SPHERE,
     DiscreteImmersion,
     ImmersionTangent,
+    _frames,
     arclen_deriv,
     circle,
     curvature,
@@ -79,6 +80,26 @@ def test_repeated_geometry_is_equal_and_read_only(make):
     for arr in (s1.samples, v1.vectors, n1.vectors, v2.vectors):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (ellipse(64, 2.0, 1.0), circle(64, 0.5), random_fourier_curve(3, 64, 5, 2.5)),
+        lambda: (wobbly_sphere_curve(64), great_circle(64), latitude_circle(64, 0.6)),
+    ],
+)
+def test_stacked_frames_are_bitwise_equal_to_each_curve(make):
+    curves = make()
+    stacked = _frames(curves[0].ambient, np.stack([c.points for c in curves], axis=1))
+    for got, want in zip(stacked, zip(*(c._geometry for c in curves))):
+        assert np.array_equal(got, np.stack(want, axis=1))
+
+
+def test_stacked_frames_raise_when_one_curve_is_degenerate():
+    stack = np.stack([unit_circle(16).points, np.tile([1.0, 0.0], (16, 1))], axis=1)
+    with pytest.raises(ImmersionDegenerate):
+        _frames(PLANE, stack)
 
 
 def test_degenerate_curve_raises_on_every_call():
