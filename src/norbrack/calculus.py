@@ -14,12 +14,13 @@ from typing import Callable
 import numpy as np
 
 from .curves import (
-    _SPHERE_NORM_TOL,
     PLANE,
     DiscreteImmersion,
     ImmersionTangent,
     _check_attached,
+    _check_unit_norm,
     _frames,
+    _project,
     arclen_deriv,
     curvature,
     frame,
@@ -45,13 +46,6 @@ def _retract(ambient: str, points: np.ndarray) -> np.ndarray:
     if ambient == PLANE:
         return points
     return points / np.linalg.norm(points, axis=-1)[..., None]
-
-
-def _project(ambient: str, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Project vectors at the given points onto the ambient's tangent planes."""
-    if ambient == PLANE:
-        return vectors
-    return vectors - np.sum(vectors * points, axis=-1)[..., None] * points
 
 
 def _check_step(c: DiscreteImmersion, eps: float) -> None:
@@ -285,8 +279,8 @@ def _normals(ambient: str, points: np.ndarray) -> np.ndarray:
     """frame(c)[1] of stacked curves, after the checks that building each
     curve and taking its speed and frame run."""
     _finite(points)
-    if ambient != PLANE and np.abs(np.linalg.norm(points, axis=-1) - 1.0).max() > _SPHERE_NORM_TOL:
-        raise ValueError("sphere curve points must have unit norm")
+    if ambient != PLANE:
+        _check_unit_norm(points)
     s, v, n = _frames(ambient, points)[1:]
     _finite(s)
     _finite(v)

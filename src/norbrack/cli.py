@@ -10,6 +10,7 @@ fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,8 +32,8 @@ from .curves import (
     pointwise_inner,
     random_fourier_curve,
 )
-from .errors import ConfigInvalid, NorbrackError
-from .fields import PeriodicScalarField, theta_grid, trig_basis
+from .errors import BasisTooLarge, ConfigInvalid, NorbrackError
+from .fields import PeriodicScalarField, _check_modes, theta_grid, trig_basis
 
 SUITES = ("bracket", "torsion", "variation", "spanning", "oneform", "arc")
 
@@ -93,20 +94,6 @@ class ReportRecord:
         }
 
 
-def _record(cfg: SuiteConfig, case: str, metric: str, value: float, tolerance: float) -> ReportRecord:
-    value = float(value)
-    tolerance = float(tolerance)
-    return ReportRecord(
-        suite=cfg.suite,
-        case=case,
-        grid_n=cfg.grid_n,
-        metric=metric,
-        value=value,
-        tolerance=tolerance,
-        passed=bool(value <= tolerance),
-    )
-
-
 def load_config(path) -> SuiteConfig:
     """Read a JSON configuration file into a SuiteConfig."""
     try:
@@ -160,10 +147,15 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
     for metric, value in cfg.tolerances.items():
         if not _is_finite_number(value):
             raise ConfigInvalid(f"tolerance for {metric!r} must be a finite number, got {value!r}")
+    if cfg.suite in ("spanning", "arc") and cfg.ambient != PLANE:
+        raise ConfigInvalid(f"the {cfg.suite} suite runs on plane curves only")
+    if cfg.suite in ("bracket", "torsion", "spanning"):
+        k = _modes(cfg)
+        try:
+            _check_modes(cfg.grid_n, k)
+        except BasisTooLarge as exc:
+            raise ConfigInvalid(f"modes={k}: {exc}") from exc
     if cfg.suite == "spanning":
-        if cfg.ambient != PLANE:
-            raise ConfigInvalid("the spanning suite runs on plane curves only")
-        k = _spanning_modes(cfg)
         need = spanning.working_set_bytes(cfg.grid_n, k)
         if need > spanning.WORKING_SET_BUDGET:
             raise ConfigInvalid(
@@ -173,8 +165,11 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
     return cfg
 
 
-def _spanning_modes(cfg: SuiteConfig) -> int:
-    return cfg.modes if cfg.modes is not None else cfg.grid_n // 2
+def _modes(cfg: SuiteConfig) -> int:
+    """The highest trig mode of a bracket, torsion or spanning run."""
+    if cfg.modes is not None:
+        return cfg.modes
+    return cfg.grid_n // 2 if cfg.suite == "spanning" else 4
 
 
 def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
@@ -209,99 +204,90 @@ def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
     raise ConfigInvalid(f"unknown curve family {cfg.family!r}")
 
 
-def _trig_pairs(n: int, max_mode: int):
-    """Case names, the trig basis and its index pairs i < j, in record order."""
+def _run_checks(cfg: SuiteConfig, checks) -> list[ReportRecord]:
+    """One record per (case, metric, default tolerance, compute) check, in order.
+
+    The config's tolerance for the metric, where it sets one, replaces the
+    default.  Each compute runs before the next check is drawn, so a suite
+    can read what its earlier checks computed.  A compute that raises a
+    package error or a ValueError makes a failed record instead of a crash:
+    value inf and the error's type and message appended to the case.  Other
+    exceptions, and any raised while drawing a check, propagate.
+    """
+    records = []
+    for case, metric, tolerance, compute in checks:
+        try:
+            value = compute()
+        except (NorbrackError, ValueError) as exc:
+            case, value = f"{case} [{type(exc).__name__}: {exc}]", np.inf
+        value, tolerance = float(value), float(cfg.tolerances.get(metric, tolerance))
+        records.append(ReportRecord(cfg.suite, case, cfg.grid_n, metric, value, tolerance, value <= tolerance))
+    return records
+
+
+def _trig_pair_checks(cfg: SuiteConfig, c: DiscreteImmersion, check, eps: float, per_pair):
+    """(case, compute) for every trig basis pair i < j, in record order.
+
+    compute returns the pair's value from the batched check, or, where a
+    check raised in the pair's chunk, per_pair(f_i, f_j): the per-pair
+    functions reproduce the error, or the value, on their own.
+    """
+    max_mode = _modes(cfg)
     names = ["1"]
     for k in range(1, max_mode + 1):
         names += [f"cos{k}", f"sin{k}"]
+    basis = trig_basis(c.grid_n, max_mode)
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
-    return [f"{names[i]},{names[j]}" for i, j in pairs], trig_basis(n, max_mode), pairs
+    batched = calculus._pairwise(check, c, basis, pairs, eps)
+    for (i, j), got in zip(pairs, batched):
+        case = f"{names[i]},{names[j]}"
+        if got is None:
+            yield case, functools.partial(per_pair, basis[i], basis[j])
+        else:
+            yield case, lambda got=got: got
 
 
-def _tol(cfg: SuiteConfig, metric: str, default: float) -> float:
-    return float(cfg.tolerances.get(metric, default))
-
-
-def _ambient_tol(cfg: SuiteConfig, metric: str, plane_default: float, sphere_default: float) -> float:
-    return _tol(cfg, metric, plane_default if cfg.ambient == PLANE else sphere_default)
-
-
-def _guarded(records: list, cfg: SuiteConfig, case: str, metric: str, tolerance: float, compute) -> None:
-    """Run one check; errors become failed records instead of crashes."""
-    try:
-        value = compute()
-    except (NorbrackError, ValueError) as exc:
-        records.append(_record(cfg, f"{case} [{type(exc).__name__}: {exc}]", metric, np.inf, tolerance))
-        return
-    records.append(_record(cfg, case, metric, value, tolerance))
-
-
-def _suite_bracket(cfg: SuiteConfig) -> list[ReportRecord]:
+def _suite_bracket(cfg: SuiteConfig):
     c = make_curve(cfg)
     eps = cfg.eps or _DEFAULT_EPS["bracket"]
-    max_mode = cfg.modes if cfg.modes is not None else 4
-    tol = _ambient_tol(cfg, "bracket_max_diff", 1e-3, 1e-2)
-    records: list[ReportRecord] = []
-    _, nrm = frame(c)
-    leak = 0.0
-    cases, basis, pairs = _trig_pairs(c.grid_n, max_mode)
-    batched = calculus._pairwise(calculus._NormalPairs.bracket, c, basis, pairs, eps)
-    for case, (i, j), got in zip(cases, pairs, batched):
-        if got is not None:
-            value, pair_leak = got
-            records.append(_record(cfg, case, "bracket_max_diff", value, tol))
-            leak = max(leak, pair_leak)
-            continue
-        # a check raised in this pair's chunk: the per-pair functions
-        # reproduce the error, or the value, on their own
-        numeric = None
+    tol = 1e-3 if cfg.ambient == PLANE else 1e-2
 
-        def compute(a=basis[i], b=basis[j]):
-            nonlocal numeric
-            numeric = calculus.bracket_numeric(c, a, b, eps)
-            closed = calculus.bracket_closed_form(c, a, b)
-            return (numeric - closed).max_norm()
+    def per_pair(a, b):
+        numeric = calculus.bracket_numeric(c, a, b, eps)
+        closed = calculus.bracket_closed_form(c, a, b)
+        return (numeric - closed).max_norm(), pointwise_inner(numeric, frame(c)[1]).max_abs()
 
-        _guarded(records, cfg, case, "bracket_max_diff", tol, compute)
-        # the numeric bracket also measures the normal leak; if it raised,
-        # the leak is unknown and counts as infinite
-        if numeric is None:
-            leak = np.inf
-        else:
-            leak = max(leak, pointwise_inner(numeric, nrm).max_abs())
-    records.append(_record(cfg, "all pairs", "bracket_normal_leak", leak, _tol(cfg, "bracket_normal_leak", 1e-3)))
-    return records
+    # the numeric bracket also measures the normal leak; if a pair raised,
+    # its leak is unknown and counts as infinite
+    leaks = []
+
+    def compute(pair):
+        leaks.append(np.inf)
+        value, leaks[-1] = pair()
+        return value
+
+    for case, pair in _trig_pair_checks(cfg, c, calculus._NormalPairs.bracket, eps, per_pair):
+        yield case, "bracket_max_diff", tol, functools.partial(compute, pair)
+    yield "all pairs", "bracket_normal_leak", 1e-3, lambda: max(leaks, default=0.0)
 
 
-def _suite_torsion(cfg: SuiteConfig) -> list[ReportRecord]:
+def _suite_torsion(cfg: SuiteConfig):
     c = make_curve(cfg)
     eps = cfg.eps or _DEFAULT_EPS["torsion"]
-    max_mode = cfg.modes if cfg.modes is not None else 4
-    tol = _ambient_tol(cfg, "torsion_defect", 1e-3, 1e-2)
-    records: list[ReportRecord] = []
-    cases, basis, pairs = _trig_pairs(c.grid_n, max_mode)
-    batched = calculus._pairwise(calculus._NormalPairs.torsion, c, basis, pairs, eps)
-    for case, (i, j), got in zip(cases, pairs, batched):
-        if got is not None:
-            records.append(_record(cfg, case, "torsion_defect", got, tol))
-            continue
-        _guarded(
-            records,
-            cfg,
-            case,
-            "torsion_defect",
-            tol,
-            lambda a=basis[i], b=basis[j]: calculus.torsion_defect(
-                c, calculus.normal_field(a), calculus.normal_field(b), eps
-            ),
-        )
-    return records
+    tol = 1e-3 if cfg.ambient == PLANE else 1e-2
+
+    def per_pair(a, b):
+        return calculus.torsion_defect(c, calculus.normal_field(a), calculus.normal_field(b), eps)
+
+    for case, compute in _trig_pair_checks(cfg, c, calculus._NormalPairs.torsion, eps, per_pair):
+        yield case, "torsion_defect", tol, compute
 
 
-def _variation_cases(c: DiscreteImmersion, seed: int):
+def _suite_variation(cfg: SuiteConfig):
+    c = make_curve(cfg)
+    eps = cfg.eps or _DEFAULT_EPS["variation"]
     theta = theta_grid(c.grid_n)
-    v, nrm = frame(c)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     coeffs = rng.standard_normal(8) / 4.0
     wobble_v = PeriodicScalarField(
         coeffs[0] + coeffs[1] * np.cos(theta) + coeffs[2] * np.sin(2 * theta) + coeffs[3] * np.cos(3 * theta)
@@ -309,51 +295,45 @@ def _variation_cases(c: DiscreteImmersion, seed: int):
     wobble_n = PeriodicScalarField(
         coeffs[4] + coeffs[5] * np.sin(theta) + coeffs[6] * np.cos(2 * theta) + coeffs[7] * np.sin(3 * theta)
     )
-    yield "h=n", nrm
-    yield "h=cos*n", nrm * PeriodicScalarField(np.cos(theta))
-    yield "h=v", v
-    yield "h=random", v * wobble_v + nrm * wobble_n
-
-
-def _suite_variation(cfg: SuiteConfig) -> list[ReportRecord]:
-    c = make_curve(cfg)
-    eps = cfg.eps or _DEFAULT_EPS["variation"]
-    tol = _tol(cfg, "variation_max_diff", 1e-3)
-    records: list[ReportRecord] = []
+    # each deformation h is built from the frame (v, n) inside its check,
+    # so a degenerate curve fails the checks instead of the run
+    directions = {
+        "h=n": lambda v, nrm: nrm,
+        "h=cos*n": lambda v, nrm: nrm * PeriodicScalarField(np.cos(theta)),
+        "h=v": lambda v, nrm: v,
+        "h=random": lambda v, nrm: v * wobble_v + nrm * wobble_n,
+    }
     plain_normal = calculus.normal_field()
-    for case, h in _variation_cases(c, cfg.seed):
-        def compute(h=h):
-            closed = calculus.variation_of_normal(c, h)
-            numeric = calculus.directional_derivative(plain_normal, c, h, eps)
-            return (closed - numeric).max_norm()
 
-        _guarded(records, cfg, case, "variation_max_diff", tol, compute)
-    return records
+    def compute(direction):
+        h = direction(*frame(c))
+        closed = calculus.variation_of_normal(c, h)
+        numeric = calculus.directional_derivative(plain_normal, c, h, eps)
+        return (closed - numeric).max_norm()
+
+    for case, direction in directions.items():
+        yield case, "variation_max_diff", 1e-3, functools.partial(compute, direction)
 
 
-def _suite_spanning(cfg: SuiteConfig) -> list[ReportRecord]:
+def _suite_spanning(cfg: SuiteConfig):
     c = make_curve(cfg)
-    k = _spanning_modes(cfg)
-    records: list[ReportRecord] = []
-    try:
-        report = spanning.verify_spanning(c, k)
-    except (NorbrackError, ValueError) as exc:
-        records.append(_record(cfg, f"K={k} [{type(exc).__name__}: {exc}]", "rank_deficit", np.inf, 0.0))
-        return records
-    records.append(_record(cfg, f"K={k}", "rank_deficit", 2 * c.grid_n - report.rank, _tol(cfg, "rank_deficit", 0.0)))
-    records.append(
-        _record(
-            cfg,
-            f"K={k}",
-            "sigma_max_over_min",
-            report.sigma_max / report.sigma_min if report.sigma_min > 0 else np.inf,
-            _tol(cfg, "sigma_max_over_min", 1.0 / spanning.DEFAULT_RANK_TOL),
-        )
-    )
-    records.append(
-        _record(cfg, f"K={k}", "normal_rank_deficit", c.grid_n - report.normal_rank, _tol(cfg, "normal_rank_deficit", 0.0))
-    )
-    return records
+    k = _modes(cfg)
+    reports = []
+
+    def rank_deficit():
+        reports.append(spanning.verify_spanning(c, k))
+        return 2 * c.grid_n - reports[0].rank
+
+    yield f"K={k}", "rank_deficit", 0.0, rank_deficit
+    if not reports:
+        return  # the spanning check raised; its one record says why
+    report = reports[0]
+
+    def sigma_ratio():
+        return report.sigma_max / report.sigma_min if report.sigma_min > 0 else np.inf
+
+    yield f"K={k}", "sigma_max_over_min", 1.0 / spanning.DEFAULT_RANK_TOL, sigma_ratio
+    yield f"K={k}", "normal_rank_deficit", 0.0, lambda: c.grid_n - report.normal_rank
 
 
 def _random_banded_form(rng, n: int, max_mode: int = 10) -> oneforms.OneFormSamples:
@@ -369,24 +349,20 @@ def _rel_l2(err: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(err) / max(np.linalg.norm(ref), 1.0))
 
 
-def _suite_oneform(cfg: SuiteConfig) -> list[ReportRecord]:
+def _suite_oneform(cfg: SuiteConfig):
     n = cfg.grid_n
     rng = np.random.default_rng(cfg.seed)
-    records: list[ReportRecord] = []
-    tol = _tol(cfg, "oneform_rel_l2", 1e-4)
-    worst_terms = 0
+    term_counts = []
+
+    def compute(alpha):
+        dec = oneforms.decompose_oneform(alpha)
+        term_counts.append(len(dec))
+        recon = oneforms.reconstruct(dec, n)
+        return _rel_l2(recon.samples - alpha.samples, alpha.samples)
+
     for idx in range(cfg.cases):
-        alpha = _random_banded_form(rng, n)
-
-        def compute(alpha=alpha):
-            nonlocal worst_terms
-            dec = oneforms.decompose_oneform(alpha)
-            worst_terms = max(worst_terms, len(dec))
-            recon = oneforms.reconstruct(dec, n)
-            return _rel_l2(recon.samples - alpha.samples, alpha.samples)
-
-        _guarded(records, cfg, f"form{idx}", "oneform_rel_l2", tol, compute)
-    records.append(_record(cfg, "all forms", "term_count", worst_terms, _tol(cfg, "term_count", 8.0)))
+        yield f"form{idx}", "oneform_rel_l2", 1e-4, functools.partial(compute, _random_banded_form(rng, n))
+    yield "all forms", "term_count", 8.0, lambda: max(term_counts, default=0)
 
     theta = theta_grid(n)
     window = (np.pi / 4.0, 3.0 * np.pi / 4.0)
@@ -419,55 +395,38 @@ def _suite_oneform(cfg: SuiteConfig) -> list[ReportRecord]:
         recon = oneforms.reconstruct(dec, n)
         return _rel_l2(recon.samples - localized.samples, localized.samples)
 
-    _guarded(records, cfg, "localized form", "supported_outside_max", _tol(cfg, "supported_outside_max", 0.0), compute_outside)
-    _guarded(records, cfg, "localized form", "supported_rel_l2", _tol(cfg, "supported_rel_l2", 1e-4), compute_supported)
-    return records
+    yield "localized form", "supported_outside_max", 0.0, compute_outside
+    yield "localized form", "supported_rel_l2", 1e-4, compute_supported
 
 
-def _suite_arc(cfg: SuiteConfig) -> list[ReportRecord]:
-    if cfg.ambient != PLANE:
-        raise ConfigInvalid("the arc suite runs on plane curves only")
+def _suite_arc(cfg: SuiteConfig):
     c = make_curve(cfg)
     eps = cfg.eps or _DEFAULT_EPS["arc"]
-    n = cfg.grid_n
-    theta = theta_grid(n)
+    theta = theta_grid(cfg.grid_n)
     cos1 = PeriodicScalarField(np.cos(theta))
     sin1 = PeriodicScalarField(np.sin(theta))
     cos3 = PeriodicScalarField(np.cos(3 * theta))
-    records: list[ReportRecord] = []
 
-    _guarded(
-        records,
-        cfg,
-        "flow cos*n, t=0.3",
-        "leaf_invariant",
-        _tol(cfg, "leaf_invariant", 1e-5),
-        lambda: arclength.leaf_invariant(c, arclength.flow_arc(c, calculus.normal_field(cos1), 0.3)),
-    )
+    def leaf_invariant():
+        return arclength.leaf_invariant(c, arclength.flow_arc(c, calculus.normal_field(cos1), 0.3))
+
+    yield "flow cos*n, t=0.3", "leaf_invariant", 1e-5, leaf_invariant
     pairs = [
         ("n,cos*n", calculus.normal_field(), calculus.normal_field(cos1)),
         ("cos*n,sin*n", calculus.normal_field(cos1), calculus.normal_field(sin1)),
         ("n,v", calculus.normal_field(), calculus.tangent_field()),
     ]
     for case, f1, f2 in pairs:
-        _guarded(
-            records,
-            cfg,
-            case,
-            "frobenius_defect",
-            _tol(cfg, "frobenius_defect", 1e-3),
-            lambda f1=f1, f2=f2: arclength.frobenius_defect(c, f1, f2, eps),
-        )
+        yield case, "frobenius_defect", 1e-3, functools.partial(arclength.frobenius_defect, c, f1, f2, eps)
 
     def negative_control():
         drifted = arclength.flow_field(c, calculus.normal_field(cos3), 0.3)
         return 1e-2 - arclength.leaf_invariant(c, drifted)
 
-    _guarded(records, cfg, "unprojected cos3*n control", "negative_control_slack", _tol(cfg, "negative_control_slack", 0.0), negative_control)
-    return records
+    yield "unprojected cos3*n control", "negative_control_slack", 0.0, negative_control
 
 
-_SUITE_RUNNERS = {
+_SUITE_CHECKS = {
     "bracket": _suite_bracket,
     "torsion": _suite_torsion,
     "variation": _suite_variation,
@@ -480,7 +439,7 @@ _SUITE_RUNNERS = {
 def run_suite(cfg: SuiteConfig) -> list[ReportRecord]:
     """Run one suite and return its records (writing them if out is set)."""
     cfg = validate_config(cfg)
-    records = _SUITE_RUNNERS[cfg.suite](cfg)
+    records = _run_checks(cfg, _SUITE_CHECKS[cfg.suite](cfg))
     if cfg.out:
         emit_report(records, cfg.out)
     return records

@@ -48,9 +48,7 @@ class DiscreteImmersion:
         elif self.ambient == SPHERE:
             if d != 3:
                 raise ValueError(f"sphere curves need 3 coordinates, got {d}")
-            norms = np.linalg.norm(pts, axis=1)
-            if np.abs(norms - 1.0).max() > _SPHERE_NORM_TOL:
-                raise ValueError("sphere curve points must have unit norm")
+            _check_unit_norm(pts)
         else:
             raise ValueError(f"unknown ambient {self.ambient!r}")
         pts.flags.writeable = False
@@ -102,6 +100,24 @@ def _frames(ambient: str, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return deriv, s, v, n
 
 
+def _check_unit_norm(points: np.ndarray) -> None:
+    """Raise ValueError unless every point, of one curve or a stack, lies on
+    the unit sphere."""
+    if np.abs(np.linalg.norm(points, axis=-1) - 1.0).max() > _SPHERE_NORM_TOL:
+        raise ValueError("sphere curve points must have unit norm")
+
+
+def _project(ambient: str, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Project vectors at the given points onto the ambient's tangent planes.
+
+    Points and vectors are one curve (n, d) or a stack of curves (n, m, d);
+    in the plane the vectors are returned as they are.
+    """
+    if ambient == PLANE:
+        return vectors
+    return vectors - np.sum(vectors * points, axis=-1)[..., None] * points
+
+
 @dataclass(frozen=True, eq=False)
 class ImmersionTangent:
     """A deformation vector attached to each node of a base curve.
@@ -122,9 +138,7 @@ class ImmersionTangent:
             )
         if not np.all(np.isfinite(vec)):
             raise ValueError("vectors must be finite")
-        if self.base.ambient == SPHERE:
-            pts = self.base.points
-            vec = vec - (np.sum(vec * pts, axis=1))[:, None] * pts
+        vec = _project(self.base.ambient, self.base.points, vec)
         vec.flags.writeable = False
         object.__setattr__(self, "vectors", vec)
 
@@ -201,9 +215,8 @@ def curvature(c: DiscreteImmersion) -> PeriodicScalarField:
     """Signed curvature <D_s v, n> (geodesic curvature on the sphere)."""
     v, n = frame(c)
     dv = diff4(v.vectors) / c._geometry[1][:, None]
-    if c.ambient == SPHERE:
-        # remove the ambient component pointing out of the sphere
-        dv = dv - np.sum(dv * c.points, axis=1)[:, None] * c.points
+    # on the sphere, remove the ambient component pointing out of the sphere
+    dv = _project(c.ambient, c.points, dv)
     return PeriodicScalarField(np.sum(dv * n.vectors, axis=1))
 
 

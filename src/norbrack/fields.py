@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import BasisTooLarge, GridMismatch
 
 TWO_PI = 2.0 * np.pi
 
@@ -146,6 +146,16 @@ class PeriodicScalarField:
 
     def mean(self) -> float:
         return float(self.samples.mean())
+
+
+def _check_modes(n: int, max_mode: int) -> None:
+    # the basis saturates the n-dimensional sample space at max_mode = n/2
+    # (where the sine Nyquist entry samples to zero); beyond that every new
+    # function aliases an existing one
+    if 2 * max_mode + 1 > n + 1:
+        raise BasisTooLarge(
+            f"{2 * max_mode + 1} trig functions on {n} nodes (max is n/2 modes)"
+        )
 
 
 def trig_basis(n: int, max_mode: int) -> list[PeriodicScalarField]:

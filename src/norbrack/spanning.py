@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PLANE, DiscreteImmersion, ImmersionTangent, frame, speed
-from .errors import BasisTooLarge, GridMismatch
-from .fields import PeriodicScalarField, diff4, trig_basis
+from .errors import GridMismatch
+from .fields import PeriodicScalarField, _check_modes, diff4, trig_basis
 from .oneforms import ABDecomposition, decompose_oneform
 
 DEFAULT_RANK_TOL = 1e-8
@@ -77,22 +77,11 @@ class SpanReport:
         return json.dumps(self.to_json_obj())
 
 
-def _check_modes(n: int, max_mode: int) -> None:
-    # the basis saturates the n-dimensional sample space at max_mode = n/2
-    # (where the sine Nyquist entry samples to zero); beyond that every new
-    # function aliases an existing one
-    if 2 * max_mode + 1 > n + 1:
-        raise BasisTooLarge(
-            f"{2 * max_mode + 1} trig functions on {n} nodes (max is n/2 modes)"
-        )
-
-
 def working_set_bytes(n: int, max_mode: int) -> int:
     """Estimated bytes verify_spanning holds at once on n nodes up to max_mode.
 
     Counts the trig block and its D_s, the two np.triu_indices pair arrays,
-    one bracket chunk and the n x n triangular factor.  A basis beyond n/2
-    modes is rejected before anything is allocated, so it is sized at n/2.
+    one bracket chunk and the n x n triangular factor.
 
     WORKING_SET_BUDGET bounds this estimate, not the peak memory: QR
     workspace, the vstack copy and the diff4 temporaries are not counted.
@@ -100,7 +89,7 @@ def working_set_bytes(n: int, max_mode: int) -> int:
     estimate (188 MiB at n = 1024, 360 MiB at n = 2048), so the largest
     admitted config should peak at about 3 GiB; that peak was not run.
     """
-    p = min(2 * max_mode + 1, n + 1)
+    p = 2 * max_mode + 1
     pairs = p * (p - 1) // 2
     return 8 * (2 * p * n + 2 * pairs + n * n) + _CHUNK_BYTES
 

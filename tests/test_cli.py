@@ -13,6 +13,7 @@ from norbrack.cli import (
     _DEFAULT_EPS,
     ReportRecord,
     SuiteConfig,
+    _run_checks,
     emit_report,
     load_config,
     main,
@@ -20,7 +21,14 @@ from norbrack.cli import (
     run_suite,
     validate_config,
 )
-from norbrack.curves import frame, pointwise_inner, random_fourier_curve, save_curve_csv, unit_circle
+from norbrack.curves import (
+    DiscreteImmersion,
+    frame,
+    pointwise_inner,
+    random_fourier_curve,
+    save_curve_csv,
+    unit_circle,
+)
 from norbrack.errors import ConfigInvalid, NorbrackError, SupportViolation
 from norbrack.fields import trig_basis
 
@@ -77,6 +85,10 @@ def test_load_config_reads_fields(tmp_path):
         dict(suite="oneform", seed=True),
         dict(suite="bracket", family=3),
         dict(suite="bracket", out=5),
+        dict(suite="bracket", grid_n=16, modes=9),
+        dict(suite="torsion", grid_n=16, modes=9),
+        dict(suite="spanning", grid_n=16, modes=9),
+        dict(suite="arc", ambient="sphere"),
     ],
 )
 def test_validate_config_rejections(bad, tmp_path, capsys):
@@ -207,12 +219,69 @@ def test_emit_report_empty_and_small(tmp_path):
 
 
 def test_run_suite_records_failures_not_crashes():
-    # a degenerate curve file cannot even be built, so records report it
+    # eps = 10 exceeds a tenth of the circle's speed, so every check raises
+    # StepTooLarge, and each becomes a failed record
     cfg = validate_config(SuiteConfig(suite="torsion", grid_n=8, eps=10.0))
     records = run_suite(cfg)
     assert records and all(not rec.passed for rec in records)
     assert all(np.isinf(rec.value) for rec in records)
     assert "StepTooLarge" in records[0].case
+
+
+@pytest.mark.parametrize(
+    "suite, checks", [("bracket", 36), ("torsion", 36), ("variation", 4), ("arc", 5), ("spanning", 1)]
+)
+def test_degenerate_curve_file_fails_every_check_without_traceback(suite, checks, tmp_path):
+    # 16 equal points make a valid curve file, but the curve never moves, so
+    # its frame and speed raise ImmersionDegenerate
+    curve = str(tmp_path / "flat.csv")
+    save_curve_csv(DiscreteImmersion(np.tile([1.0, 0.0], (16, 1))), curve)
+    path = write_config(tmp_path, suite=suite, grid_n=16, family=f"file:{curve}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "norbrack", suite, "--config", path], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    if suite == "bracket":
+        # no pair measured its normal leak, so the aggregate reads inf
+        leak = records.pop()
+        assert (leak["case"], leak["metric"], leak["value"]) == ("all pairs", "bracket_normal_leak", np.inf)
+    assert len(records) == checks
+    assert all("ImmersionDegenerate" in rec["case"] and rec["value"] == np.inf for rec in records)
+
+
+def test_run_checks_guards_and_records_in_order():
+    cfg = SuiteConfig(suite="arc", grid_n=16, tolerances={"third": 5.0})
+    shared = {}
+
+    def first():
+        shared["first"] = 2.0
+        return 1.0
+
+    def second():
+        raise ValueError("bad sample")
+
+    def checks():
+        yield "a", "first", 1.5, first
+        yield "b", "second", 0.0, second
+        # drawn only after the first compute returned
+        seen = shared["first"]
+        yield "c", "third", 1.0, lambda: seen
+
+    records = _run_checks(cfg, checks())
+    assert [(rec.suite, rec.grid_n) for rec in records] == [("arc", 16)] * 3
+    assert [(rec.case, rec.metric, rec.value, rec.tolerance, rec.passed) for rec in records] == [
+        ("a", "first", 1.0, 1.5, True),
+        ("b [ValueError: bad sample]", "second", np.inf, 0.0, False),
+        ("c", "third", 2.0, 5.0, True),
+    ]
+
+    def lookup():
+        return {}["missing"]
+
+    with pytest.raises(KeyError):
+        _run_checks(cfg, iter([("d", "fourth", 0.0, lookup)]))
 
 
 def test_module_invocation():
