@@ -20,12 +20,13 @@ from .curves import (
     DiscreteImmersion,
     ImmersionTangent,
     _check_attached,
+    _tangent_vectors,
     frame,
     save_curve_csv,
     speed,
 )
 from .errors import GridMismatch
-from .fields import PeriodicScalarField, diff4, periodic_primitive
+from .fields import PeriodicScalarField, _check_samples, diff4, periodic_primitive
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,9 +52,22 @@ def arc_defect(c: DiscreteImmersion, h: ImmersionTangent) -> ArcDefect:
     )
 
 
-def _arclength_mean(values: np.ndarray, s: np.ndarray) -> float:
-    # uniform-grid trapezoid of a periodic integrand reduces to plain sums
-    return float(np.sum(values * s) / np.sum(s))
+def _arc_projection(s: np.ndarray, v: np.ndarray, vectors: np.ndarray, passes: int = 3) -> np.ndarray:
+    """project_to_arc on arrays: speed s (n,), unit tangent v and vectors (n, d).
+
+    The one copy of the projection loop.  Both arclength means divide by
+    the same sum of speeds (on a uniform grid the trapezoid rule of a
+    periodic integrand reduces to plain sums), so it is summed once.
+    """
+    total = s.sum()
+    vectors = np.array(vectors)
+    for _ in range(passes):
+        u = ((diff4(vectors) / s[:, None]) * v).sum(axis=1)
+        w = (float((u * s).sum() / total) - u) * s
+        psi = periodic_primitive(w)
+        psi -= float((psi * s).sum() / total)
+        vectors += psi[:, None] * v
+    return vectors
 
 
 def project_to_arc(
@@ -69,23 +83,44 @@ def project_to_arc(
     data-dependent branching).  Three passes are not idempotent to
     rounding: for h = cos * n on the 1.5 x 0.7 ellipse at n = 128, the
     arc_defect norm is 2.1e-8 after 3 passes and 3.3e-14 after 6.
+
+    The passes run on plain arrays in _arc_projection.  The projected flows
+    of flow_arc call that kernel at every RK4 stage with the same operands
+    and after the same checks as here: finite speeds (speed), a finite
+    frame (frame) and finite corrected vectors (ImmersionTangent).
     """
     _check_attached(c, h)
     s = speed(c).samples
     v, _ = frame(c)
-    vectors = np.array(h.vectors)
-    for _ in range(passes):
-        u = np.sum((diff4(vectors) / s[:, None]) * v.vectors, axis=1)
-        w = (_arclength_mean(u, s) - u) * s
-        psi = periodic_primitive(w)
-        psi -= _arclength_mean(psi, s)
-        vectors += psi[:, None] * v.vectors
-    return ImmersionTangent(vectors, c)
+    return ImmersionTangent(_arc_projection(s, v.vectors, h.vectors, passes), c)
 
 
 def _projected(field: CurveField) -> CurveField:
-    """The field P[F]: c -> project_to_arc(c, F(c))."""
-    return CurveField(lambda c: project_to_arc(c, field(c)), f"P[{field.name}]")
+    """The field P[F]: c -> project_to_arc(c, F(c)).
+
+    When F has an array rule, so does P[F]: it runs project_to_arc's checks
+    and arithmetic on the stage's frames, so a flow builds no container.
+    """
+    projected = CurveField(lambda c: project_to_arc(c, field(c)), f"P[{field.name}]")
+    if field._points_rule is None:
+        return projected
+
+    def points_rule(ambient: str, points: np.ndarray, geometry) -> np.ndarray:
+        h = field._points_rule(ambient, points, geometry)
+        _, s, v, _ = geometry
+        _check_samples(s)  # speed(c)
+        v = _tangent_vectors(ambient, points, v)  # frame(c)
+        return _tangent_vectors(ambient, points, _arc_projection(s, v, h))
+
+    projected._points_rule = points_rule
+    return projected
+
+
+def _check_flow(c0: DiscreteImmersion, steps: int) -> None:
+    if c0.ambient != PLANE:
+        raise ValueError("arc flows are defined for plane curves only")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
 
 
 def flow_field(
@@ -93,26 +128,26 @@ def flow_field(
 ) -> DiscreteImmersion:
     """RK4 flow of a field as given: dc/dt = F(c).
 
-    Every stage evaluation rebuilds the curve and recomputes its speed, so
-    a flow that pinches the curve raises ImmersionDegenerate mid-way.
+    The loop runs on (n, 2) point arrays; only the returned curve is a
+    DiscreteImmersion.  Each stage evaluates F at its points through the
+    field's array rule where it has one (normal and tangent fields and
+    their projections: one frame computation, no containers), and through
+    a curve built from the points otherwise (constant and composite
+    fields).  Either way every stage runs the checks of building the curve
+    and evaluating F on it: finite points, the speed floor, finite vectors
+    and matching grids.  So a flow that pinches the curve raises
+    ImmersionDegenerate mid-way, with the message the curve would give.
     """
-    if c0.ambient != PLANE:
-        raise ValueError("arc flows are defined for plane curves only")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    _check_flow(c0, steps)
     if t == 0.0:
         return c0
-
-    def velocity(pts: np.ndarray) -> np.ndarray:
-        return field(DiscreteImmersion(pts, c0.ambient)).vectors
-
     dt = t / steps
     pts = np.array(c0.points)
     for _ in range(steps):
-        k1 = velocity(pts)
-        k2 = velocity(pts + (0.5 * dt) * k1)
-        k3 = velocity(pts + (0.5 * dt) * k2)
-        k4 = velocity(pts + dt * k3)
+        k1 = field._velocity(c0.ambient, pts)
+        k2 = field._velocity(c0.ambient, pts + (0.5 * dt) * k1)
+        k3 = field._velocity(c0.ambient, pts + (0.5 * dt) * k2)
+        k4 = field._velocity(c0.ambient, pts + dt * k3)
         pts = pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return DiscreteImmersion(pts, c0.ambient)
 
@@ -120,7 +155,11 @@ def flow_field(
 def flow_arc(
     c0: DiscreteImmersion, field: CurveField, t: float, steps: int = 100
 ) -> DiscreteImmersion:
-    """RK4 flow of the projected field: dc/dt = project_to_arc(c, F(c))."""
+    """RK4 flow of the projected field: dc/dt = project_to_arc(c, F(c)).
+
+    Runs in flow_field: when F has an array rule, each stage projects with
+    the same kernel as project_to_arc on the stage's arrays.
+    """
     return flow_field(c0, _projected(field), t, steps)
 
 
@@ -132,6 +171,7 @@ def flow_trajectory(
     sample_every: int = 1,
 ) -> list[DiscreteImmersion]:
     """Projected flow like flow_arc, returning intermediate curves too."""
+    _check_flow(c0, steps)
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     frames = [c0]

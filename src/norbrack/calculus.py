@@ -9,6 +9,7 @@ to the sphere's tangent planes, which realizes the ambient connection.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -18,9 +19,11 @@ from .curves import (
     DiscreteImmersion,
     ImmersionTangent,
     _check_attached,
+    _check_points,
     _check_unit_norm,
     _frames,
     _project,
+    _tangent_vectors,
     arclen_deriv,
     curvature,
     frame,
@@ -62,12 +65,30 @@ class CurveField:
     can be built from the named constructors below.
     """
 
+    # An optional array rule (ambient, points, geometry) -> vectors, where
+    # geometry is curves._frames(ambient, points) of points that passed the
+    # curve checks.  It must give the rule's vectors bitwise, with the rule's
+    # checks in the rule's order, without building a container.
+    _points_rule = None
+
     def __init__(self, rule: Callable[[DiscreteImmersion], ImmersionTangent], name: str = "field"):
         self._rule = rule
         self.name = name
 
     def __call__(self, c: DiscreteImmersion) -> ImmersionTangent:
         return self._rule(c)
+
+    def _velocity(self, ambient: str, points: np.ndarray) -> np.ndarray:
+        """The field's vectors at the curve with these points, as an array:
+        the velocity of a flow at one stage.
+
+        With an array rule the points get DiscreteImmersion's checks and one
+        _frames call; otherwise the curve is built and the rule called.
+        """
+        if self._points_rule is None:
+            return self(DiscreteImmersion(points, ambient)).vectors
+        _check_points(ambient, points)
+        return self._points_rule(ambient, points, _frames(ambient, points))
 
     def __add__(self, other: "CurveField") -> "CurveField":
         return CurveField(lambda c: self(c) + other(c), f"{self.name}+{other.name}")
@@ -85,26 +106,37 @@ class CurveField:
         return self * -1.0
 
 
+def _frame_field(index: int, coeff, name: str) -> CurveField:
+    """The field c -> coeff * frame(c)[index] (the bare frame vector when
+    coeff is None), with an array rule when coeff is None or a field."""
+    if coeff is None:
+        field = CurveField(lambda c: frame(c)[index], name)
+    else:
+        field = CurveField(lambda c: frame(c)[index] * coeff, name)
+        if not isinstance(coeff, PeriodicScalarField):
+            return field
+
+    def points_rule(ambient: str, points: np.ndarray, geometry) -> np.ndarray:
+        # frame(c) wraps both v and n, then ImmersionTangent.__mul__ scales
+        vec = [_tangent_vectors(ambient, points, x) for x in geometry[2:]][index]
+        if coeff is None:
+            return vec
+        if coeff.grid_n != points.shape[0]:
+            raise GridMismatch("scalar field lives on a different grid")
+        return _tangent_vectors(ambient, points, vec * coeff.samples[:, None])
+
+    field._points_rule = points_rule
+    return field
+
+
 def normal_field(a: PeriodicScalarField | None = None, name: str | None = None) -> CurveField:
     """The field c -> a * n(c); plain unit normal when a is omitted."""
-    if a is None:
-        return CurveField(lambda c: frame(c)[1], name or "n")
-
-    def rule(c: DiscreteImmersion) -> ImmersionTangent:
-        return frame(c)[1] * a
-
-    return CurveField(rule, name or "a*n")
+    return _frame_field(1, a, name or ("n" if a is None else "a*n"))
 
 
 def tangent_field(m: PeriodicScalarField | None = None, name: str | None = None) -> CurveField:
     """The field c -> m * v(c); plain unit tangent when m is omitted."""
-    if m is None:
-        return CurveField(lambda c: frame(c)[0], name or "v")
-
-    def rule(c: DiscreteImmersion) -> ImmersionTangent:
-        return frame(c)[0] * m
-
-    return CurveField(rule, name or "m*v")
+    return _frame_field(0, m, name or ("v" if m is None else "m*v"))
 
 
 def constant_field(w, name: str | None = None) -> CurveField:
@@ -190,11 +222,13 @@ def flow_commutator(
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-
-    def velocity(field):
-        return lambda points: field(DiscreteImmersion(points, c.ambient)).vectors
-
-    delta = _commutator_delta(c.points, c.ambient, velocity(x), velocity(y), eps)
+    delta = _commutator_delta(
+        c.points,
+        c.ambient,
+        functools.partial(x._velocity, c.ambient),
+        functools.partial(y._velocity, c.ambient),
+        eps,
+    )
     return ImmersionTangent(_project(c.ambient, c.points, delta), c)
 
 

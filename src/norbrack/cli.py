@@ -196,7 +196,13 @@ def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
         if kind == "file":
             if not rest:
                 raise ConfigInvalid("file family needs a path: file:<path>")
-            return load_curve_csv(rest)
+            c = load_curve_csv(rest)
+            # records, fields and validation all use the config's grid
+            if c.grid_n != cfg.grid_n:
+                raise ConfigInvalid(
+                    f"curve file {rest!r} has {c.grid_n} nodes, but grid_n is {cfg.grid_n}"
+                )
+            return c
     except ConfigInvalid:
         raise
     except (ValueError, OSError) as exc:

@@ -36,21 +36,7 @@ class DiscreteImmersion:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).copy()
-        if pts.ndim != 2:
-            raise ValueError("points must be an (n, d) array")
-        n, d = pts.shape
-        _validate_grid_n(n)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        if self.ambient == PLANE:
-            if d != 2:
-                raise ValueError(f"plane curves need 2 coordinates, got {d}")
-        elif self.ambient == SPHERE:
-            if d != 3:
-                raise ValueError(f"sphere curves need 3 coordinates, got {d}")
-            _check_unit_norm(pts)
-        else:
-            raise ValueError(f"unknown ambient {self.ambient!r}")
+        _check_points(self.ambient, pts)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -76,6 +62,26 @@ class DiscreteImmersion:
         for arr in geometry:
             arr.flags.writeable = False
         return geometry
+
+
+def _check_points(ambient: str, pts: np.ndarray) -> None:
+    """Raise ValueError unless pts, shaped (n, d), sample a closed curve in
+    the ambient: the checks of DiscreteImmersion."""
+    if pts.ndim != 2:
+        raise ValueError("points must be an (n, d) array")
+    n, d = pts.shape
+    _validate_grid_n(n)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    if ambient == PLANE:
+        if d != 2:
+            raise ValueError(f"plane curves need 2 coordinates, got {d}")
+    elif ambient == SPHERE:
+        if d != 3:
+            raise ValueError(f"sphere curves need 3 coordinates, got {d}")
+        _check_unit_norm(pts)
+    else:
+        raise ValueError(f"unknown ambient {ambient!r}")
 
 
 def _frames(ambient: str, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -118,6 +124,18 @@ def _project(ambient: str, points: np.ndarray, vectors: np.ndarray) -> np.ndarra
     return vectors - np.sum(vectors * points, axis=-1)[..., None] * points
 
 
+def _tangent_vectors(ambient: str, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The checks and projection of ImmersionTangent on (n, d) arrays: raise
+    unless the vectors match the points' shape and are finite, then project
+    them onto the ambient's tangent planes (the plane returns them as they
+    are)."""
+    if vectors.shape != points.shape:
+        raise GridMismatch(f"vectors shaped {vectors.shape} do not match base {points.shape}")
+    if not np.isfinite(vectors).all():
+        raise ValueError("vectors must be finite")
+    return _project(ambient, points, vectors)
+
+
 @dataclass(frozen=True, eq=False)
 class ImmersionTangent:
     """A deformation vector attached to each node of a base curve.
@@ -132,13 +150,7 @@ class ImmersionTangent:
 
     def __post_init__(self):
         vec = np.asarray(self.vectors, dtype=float).copy()
-        if vec.shape != self.base.points.shape:
-            raise GridMismatch(
-                f"vectors shaped {vec.shape} do not match base {self.base.points.shape}"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("vectors must be finite")
-        vec = _project(self.base.ambient, self.base.points, vec)
+        vec = _tangent_vectors(self.base.ambient, self.base.points, vec)
         vec.flags.writeable = False
         object.__setattr__(self, "vectors", vec)
 

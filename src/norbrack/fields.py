@@ -59,6 +59,15 @@ def diff4_symbol(n: int) -> np.ndarray:
     return lam
 
 
+@functools.lru_cache(maxsize=64)
+def _primitive_divisor(n: int) -> np.ndarray:
+    """1j * lam on the bins periodic_primitive inverts (all but the mean and
+    Nyquist bins); computed once per n, shared and read-only."""
+    divisor = 1j * diff4_symbol(n)[1:-1]
+    divisor.flags.writeable = False
+    return divisor
+
+
 def periodic_primitive(values: np.ndarray) -> np.ndarray:
     """Solve diff4(p) = values exactly on the modes the stencil can see.
 
@@ -70,10 +79,19 @@ def periodic_primitive(values: np.ndarray) -> np.ndarray:
     n = w.shape[0]
     _validate_grid_n(n)
     spec = np.fft.rfft(w)
-    lam = diff4_symbol(n)
     out = np.zeros_like(spec)
-    out[1:-1] = spec[1:-1] / (1j * lam[1:-1])
+    out[1:-1] = spec[1:-1] / _primitive_divisor(n)
     return np.fft.irfft(out, n)
+
+
+def _check_samples(arr: np.ndarray) -> None:
+    """Raise ValueError unless arr holds finite samples on a valid grid: the
+    checks of PeriodicScalarField."""
+    if arr.ndim != 1:
+        raise ValueError("samples must be one-dimensional")
+    _validate_grid_n(arr.shape[0])
+    if not np.isfinite(arr).all():
+        raise ValueError("samples must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +102,7 @@ class PeriodicScalarField:
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float).copy()
-        if arr.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        _validate_grid_n(arr.shape[0])
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
+        _check_samples(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 

@@ -119,6 +119,22 @@ def test_make_curve_from_file(tmp_path):
     assert np.array_equal(make_curve(cfg).points, c.points)
 
 
+@pytest.mark.parametrize("suite", ["arc", "spanning", "bracket", "torsion", "variation"])
+def test_curve_file_on_another_grid_is_config_error(suite, tmp_path, capsys):
+    # a 16-node file under grid_n 64 used to run on the file's grid while its
+    # records said 64: arc errored 4 of 5 checks with GridMismatch, spanning
+    # wrote a BasisTooLarge record, bracket reported grid_n 64 silently
+    curve = str(tmp_path / "c16.csv")
+    save_curve_csv(curves.circle(16), curve)
+    path = write_config(tmp_path, suite=suite, grid_n=64, family=f"file:{curve}")
+    assert main([suite, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has 16 nodes, but grid_n is 64" in captured.err
+    with pytest.raises(ConfigInvalid, match="16 nodes.*grid_n is 64"):
+        make_curve(SuiteConfig(suite=suite, grid_n=64, family=f"file:{curve}"))
+
+
 def test_list_exits_clean(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out.split()
