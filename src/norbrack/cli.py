@@ -197,10 +197,14 @@ def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
             if not rest:
                 raise ConfigInvalid("file family needs a path: file:<path>")
             c = load_curve_csv(rest)
-            # records, fields and validation all use the config's grid
+            # records, fields and validation all use the config's grid and ambient
             if c.grid_n != cfg.grid_n:
                 raise ConfigInvalid(
                     f"curve file {rest!r} has {c.grid_n} nodes, but grid_n is {cfg.grid_n}"
+                )
+            if c.ambient != cfg.ambient:
+                raise ConfigInvalid(
+                    f"curve file {rest!r} is a {c.ambient} curve, but ambient is {cfg.ambient}"
                 )
             return c
     except ConfigInvalid:

@@ -49,12 +49,14 @@ def diff4_symbol(n: int) -> np.ndarray:
 
     Applying diff4 to exp(i*m*theta) multiplies it by 1j*lam[m] with
     lam[m] = (8 sin(m h) - sin(2 m h)) / (6 h).  lam vanishes for m = 0 and
-    for the Nyquist bin m = n/2.  Computed once per n; the array is shared
-    and read-only.
+    for the Nyquist bin m = n/2, where both entries are an exact 0 (the
+    formula leaves rounding noise at n/2, but diff4 of the alternating mode
+    is bitwise 0).  Computed once per n; the array is shared and read-only.
     """
     h = TWO_PI / n
     m = np.arange(n // 2 + 1)
     lam = (8.0 * np.sin(m * h) - np.sin(2.0 * m * h)) / (6.0 * h)
+    lam[-1] = 0.0
     lam.flags.writeable = False
     return lam
 
@@ -175,12 +177,14 @@ def _check_modes(n: int, max_mode: int) -> None:
 def trig_basis(n: int, max_mode: int) -> list[PeriodicScalarField]:
     """The functions 1, cos(k theta), sin(k theta) for k = 1..max_mode.
 
-    Note that on n nodes the sine at the Nyquist mode n/2 samples to zero;
-    callers that count ranks have to account for that.
+    On n nodes the sine at the Nyquist mode n/2 vanishes at every node, so it
+    is emitted as an exact zero rather than as the rounding noise that
+    sampling it gives; callers that count ranks have to account for that.
     """
     theta = theta_grid(n)
     basis = [PeriodicScalarField.constant(1.0, n)]
     for k in range(1, max_mode + 1):
         basis.append(PeriodicScalarField(np.cos(k * theta)))
-        basis.append(PeriodicScalarField(np.sin(k * theta)))
+        sine = np.sin(k * theta) if 2 * k != n else np.zeros(n)
+        basis.append(PeriodicScalarField(sine))
     return basis

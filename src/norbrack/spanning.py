@@ -9,30 +9,54 @@ Since [a n, b n] = (a D_s b - b D_s a) * v, every generator is purely normal
 or purely tangential, and the per-node change to (v, n) coordinates is
 orthogonal.  The spectrum of the stacked 2N-row matrix is therefore the union
 of two N-row spectra, the normalized trig block and the normalized
-bracket-coefficient block, padded with zeros; verify_spanning factors the two
-blocks separately and never forms the stacked matrix.
+bracket-coefficient block, padded with zeros; verify_spanning computes the two
+separately and never forms the stacked matrix.
+
+The bracket block is computed in Fourier coordinates.  On n nodes the
+functions cos(f theta), f = 0..n/2, and sin(f theta), f = 1..n/2-1, are a
+basis of the samples; coordinate f <= n/2 is cos(f theta) and coordinate
+n - f is sin(f theta).  diff4 maps cos(k theta) to -lam_k sin(k theta) and
+sin(k theta) to lam_k cos(k theta), lam = diff4_symbol(n), so by
+product-to-sum the bracket coefficient A D B - B D A of basis functions at
+modes a and b has exactly two coordinates:
+
+    cos a, cos b:  (lam_a - lam_b)/2 sin((a+b) theta) + (lam_a + lam_b)/2 sin((a-b) theta)
+    sin a, sin b:  (lam_b - lam_a)/2 sin((a+b) theta) + (lam_a + lam_b)/2 sin((a-b) theta)
+    cos a, sin b:  (lam_b - lam_a)/2 cos((a+b) theta) + (lam_a + lam_b)/2 cos((a-b) theta)
+    sin a, cos b:  (lam_b - lam_a)/2 cos((a+b) theta) - (lam_a + lam_b)/2 cos((a-b) theta)
+
+Row r of the block is b_r = (Phi x_r) / speed scaled to unit length, with Phi
+the basis samples and x_r those coordinates.  Its nonzero squared singular
+values are the eigenvalues of M^(1/2) Q M^(1/2), where M = sum_r x_r x_r^T /
+|b_r|^2 is a scatter-add of four entries per pair and Q = Phi^T diag(speed^-2)
+Phi is read off G = n * ifft(speed^-2); with the Cholesky root Q = L L^T they
+are the eigenvalues of L^T M L.  Only coordinates some bracket reaches enter,
+so the block's structural zeros stay exact zeros.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import PLANE, DiscreteImmersion, ImmersionTangent, frame, speed
 from .errors import GridMismatch
-from .fields import PeriodicScalarField, _check_modes, diff4, trig_basis
+from .fields import PeriodicScalarField, _check_modes, diff4, diff4_symbol, trig_basis
 from .oneforms import ABDecomposition, decompose_oneform
 
 DEFAULT_RANK_TOL = 1e-8
 
-# Bracket coefficients are built and factored this many bytes at a time, so
-# memory stays bounded while the pair count grows like N^2.
-_CHUNK_BYTES = 32 * 2**20
+# Bracket pairs are scattered into M this many at a time, so memory stays
+# bounded while the pair count grows like N^2.
+_PAIR_CHUNK = 2**15
 
-# Largest estimated working set (working_set_bytes) a spanning check may take.
+# Bytes a chunk holds per pair: its indices, modes, coefficients, row norms
+# and the four scattered entries with their row and column indices.
+_PAIR_BYTES = 256
+
+# Largest working set (working_set_bytes) a spanning check may take.
 WORKING_SET_BUDGET = 2**30
 
 
@@ -78,42 +102,23 @@ class SpanReport:
 
 
 def working_set_bytes(n: int, max_mode: int) -> int:
-    """Estimated bytes verify_spanning holds at once on n nodes up to max_mode.
+    """Bytes verify_spanning holds at once on n nodes up to max_mode.
 
-    Counts the trig block and its D_s, the two np.triu_indices pair arrays,
-    one bracket chunk and the n x n triangular factor.
-
-    WORKING_SET_BUDGET bounds this estimate, not the peak memory: QR
-    workspace, the vstack copy and the diff4 temporaries are not counted.
-    Measured peak RSS above the interpreter's baseline is 2.2-2.9 times the
-    estimate (188 MiB at n = 1024, 360 MiB at n = 2048), so the largest
-    admitted config should peak at about 3 GiB; that peak was not run.
+    The bracket block peaks at four n x n float arrays: Q and the index
+    arrays that build it; then M, Q, LAPACK's copy of Q and its Cholesky root
+    L; then L, L^T M and H.  Between those it holds M, Q and one chunk of at
+    most _PAIR_CHUNK pairs.  The normal block holds at most three (2K+1) x n
+    arrays (the fields, their stacked rows and the SVD's copy), which is less.
     """
     p = 2 * max_mode + 1
-    pairs = p * (p - 1) // 2
-    return 8 * (2 * p * n + 2 * pairs + n * n) + _CHUNK_BYTES
+    chunk = min(p * (p - 1) // 2, _PAIR_CHUNK)
+    return 8 * 4 * n * n + chunk * _PAIR_BYTES
 
 
 def _trig_rows(n: int, max_mode: int) -> np.ndarray:
     """The trig basis up to max_mode as the rows of a (2K+1, N) array."""
     _check_modes(n, max_mode)
     return np.array([a.samples for a in trig_basis(n, max_mode)])
-
-
-def _bracket_rows(c: DiscreteImmersion, trig: np.ndarray) -> Iterator[np.ndarray]:
-    """Coefficients of [a_i n, a_j n] = coeff * v for all pairs i < j.
-
-    Yields them as rows of arrays of at most _CHUNK_BYTES each, in
-    np.triu_indices order; D_s of the basis is taken once for all pairs.
-    """
-    dtrig = (diff4(trig.T) / speed(c).samples[:, None]).T
-    first, second = np.triu_indices(trig.shape[0], k=1)
-    step = max(1, _CHUNK_BYTES // trig[0].nbytes)
-    for lo in range(0, first.size, step):
-        i, j = first[lo : lo + step], second[lo : lo + step]
-        rows = trig[i] * dtrig[j]
-        rows -= trig[j] * dtrig[i]
-        yield rows
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -132,14 +137,108 @@ def normal_generators(c: DiscreteImmersion, max_mode: int) -> list[ImmersionTang
 
 
 def bracket_generators(c: DiscreteImmersion, max_mode: int) -> list[ImmersionTangent]:
-    """Closed-form brackets of all distinct pairs (i < j) from the trig basis."""
+    """Closed-form brackets of all distinct pairs (i < j) from the trig basis,
+    in np.triu_indices order; D_s of the basis is taken once for all pairs."""
     trig = _trig_rows(c.grid_n, max_mode)
+    dtrig = (diff4(trig.T) / speed(c).samples[:, None]).T
+    first, second = np.triu_indices(trig.shape[0], k=1)
+    rows = trig[first] * dtrig[second]
+    rows -= trig[second] * dtrig[first]
     v, _ = frame(c)
-    return [
-        ImmersionTangent(v.vectors * coeff[:, None], c)
-        for rows in _bracket_rows(c, trig)
-        for coeff in rows
-    ]
+    return [ImmersionTangent(v.vectors * coeff[:, None], c) for coeff in rows]
+
+
+def _weighted_gram(s: np.ndarray) -> np.ndarray:
+    """Q[a, b] = sum over nodes of phi_a phi_b / s^2 for the n coordinates.
+
+    With phi = cos(f theta - p pi/2), p = 1 for a sine, the product is
+    (cos((f_a - f_b) theta - (p_a - p_b) pi/2) + cos((f_a + f_b) theta -
+    (p_a + p_b) pi/2)) / 2, and the node sum of s^-2 cos(l theta - k pi/2)
+    is Re((-i)^k G[l]) with G = n * ifft(s^-2).
+    """
+    n = s.shape[0]
+    g = n * np.fft.ifft(1.0 / (s * s))
+    table = np.concatenate([g.real, g.imag, -g.real, -g.imag])
+    coord = np.arange(n)
+    freq = np.where(coord <= n // 2, coord, n - coord)
+    phase = (coord > n // 2).astype(np.int64)
+    q = table[np.subtract.outer(phase, phase) % 4 * n + np.subtract.outer(freq, freq) % n]
+    q += table[np.add.outer(phase, phase) * n + np.add.outer(freq, freq) % n]
+    q *= 0.5
+    return q
+
+
+def _pair_chunks(p: int):
+    """The pairs i < j of p functions in np.triu_indices order, as index
+    arrays of at most _PAIR_CHUNK pairs."""
+    rows = np.arange(p)
+    starts = rows * (2 * p - rows - 1) // 2  # pairs before row i
+    total = p * (p - 1) // 2
+    for lo in range(0, total, _PAIR_CHUNK):
+        k = np.arange(lo, min(lo + _PAIR_CHUNK, total))
+        i = np.searchsorted(starts, k, side="right") - 1
+        yield i, k - starts[i] + i + 1
+
+
+def _coordinate(n: int, freq: np.ndarray, sine: np.ndarray, coeff: np.ndarray):
+    """Coordinate index and coefficient of coeff * t(freq theta) on n nodes,
+    with t = sin where sine and cos elsewhere, for signed integer freq.
+
+    cos is even and sin odd, and on the grid sin((n - f) theta) = -sin(f
+    theta); a sine at frequency 0 or n/2 vanishes on the grid and gets
+    coefficient 0.
+    """
+    f = np.abs(freq)
+    over = f > n // 2
+    f = np.where(over, n - f, f)
+    coeff = np.where(sine & ((freq < 0) != over), -coeff, coeff)
+    dead = sine & ((f == 0) | (f == n // 2))
+    return np.where(sine & ~dead, n - f, f), np.where(dead, 0.0, coeff)
+
+
+def _bracket_sigma(c: DiscreteImmersion, max_mode: int) -> np.ndarray:
+    """Singular values of the normalized bracket-coefficient block, largest
+    first, from its Fourier coordinates (see the module docstring)."""
+    n = c.grid_n
+    lam = diff4_symbol(n)
+    p = 2 * max_mode + 1
+    mode = np.zeros(p, dtype=np.int64)
+    mode[1::2] = mode[2::2] = np.arange(1, max_mode + 1)
+    sine = np.zeros(p, dtype=bool)
+    sine[2::2] = True
+    # a pair with the Nyquist sine (the zero function) puts two opposite
+    # coefficients on one coordinate, so its row norm is an exact 0
+    q = _weighted_gram(speed(c).samples)
+    gram = np.zeros((n, n))
+    for i, j in _pair_chunks(p):
+        a, b, si, sj = mode[i], mode[j], sine[i], sine[j]
+        same = si == sj
+        plus = np.where(si | sj, 0.5, -0.5) * (lam[b] - lam[a])
+        minus = np.where(si & ~sj, -0.5, 0.5) * (lam[a] + lam[b])
+        i1, c1 = _coordinate(n, a + b, same, plus)
+        i2, c2 = _coordinate(n, a - b, same, minus)
+        norm2 = c1 * c1 * q[i1, i1] + 2.0 * c1 * c2 * q[i1, i2] + c2 * c2 * q[i2, i2]
+        w = np.divide(1.0, norm2, out=np.zeros_like(norm2), where=norm2 > 0.0)
+        cross = w * c1 * c2
+        np.add.at(
+            gram,
+            (np.concatenate([i1, i2, i1, i2]), np.concatenate([i1, i2, i2, i1])),
+            np.concatenate([w * c1 * c1, w * c2 * c2, cross, cross]),
+        )
+    reached = np.flatnonzero(np.diagonal(gram) > 0.0)
+    if reached.size < n:
+        gram = gram[np.ix_(reached, reached)]
+        q = q[np.ix_(reached, reached)]
+    # each n x n array is dropped once used; working_set_bytes counts the rest
+    root = np.linalg.cholesky(q)
+    del q
+    h = root.T @ gram
+    del gram
+    h = h @ root
+    del root
+    sigma = np.sqrt(np.clip(np.linalg.eigvalsh(h), 0.0, None))[::-1]
+    # the block has p(p-1)/2 rows, so any further eigenvalues are zeros
+    return sigma[: p * (p - 1) // 2]
 
 
 def verify_spanning(
@@ -152,20 +251,15 @@ def verify_spanning(
     rank_tol times the largest one, and full means rank == 2 * grid_n.
 
     The spectrum is computed per block: an exact SVD of the normalized trig
-    block, and an exact SVD of the triangular factor of the normalized
-    bracket block, accumulated chunk by chunk with QR (which keeps the
-    block's singular values without squaring its condition number).
+    block, and the exact spectrum of the normalized bracket block in Fourier
+    coordinates (see the module docstring).
     """
     if c.ambient != PLANE:
         raise ValueError("spanning verification is defined for plane curves only")
     n = c.grid_n
-    trig = _trig_rows(n, max_mode)
-    tri = np.empty((0, n))
-    for rows in _bracket_rows(c, trig):
-        tri = np.linalg.qr(np.vstack([tri, _unit_rows(rows)]), mode="r")
-    normal_sigma = np.linalg.svd(_unit_rows(trig.copy()), compute_uv=False)
-    bracket_sigma = np.linalg.svd(tri, compute_uv=False)
-    p = trig.shape[0]
+    normal_sigma = np.linalg.svd(_unit_rows(_trig_rows(n, max_mode)), compute_uv=False)
+    bracket_sigma = _bracket_sigma(c, max_mode)
+    p = 2 * max_mode + 1
     num_generators = p + p * (p - 1) // 2
     sigma = np.zeros(min(2 * n, num_generators))
     merged = np.sort(np.concatenate([normal_sigma, bracket_sigma]))[::-1]

@@ -135,6 +135,22 @@ def test_curve_file_on_another_grid_is_config_error(suite, tmp_path, capsys):
         make_curve(SuiteConfig(suite=suite, grid_n=64, family=f"file:{curve}"))
 
 
+@pytest.mark.parametrize("suite", ["arc", "spanning"])
+def test_curve_file_on_another_ambient_is_config_error(suite, tmp_path, capsys):
+    # a great-circle file under the default plane config used to run anyway:
+    # arc errored 2 checks next to 3 passing ones, spanning errored its
+    # rank_deficit record, each with exit 1
+    curve = str(tmp_path / "great.csv")
+    save_curve_csv(curves.great_circle(64), curve)
+    path = write_config(tmp_path, suite=suite, grid_n=64, family=f"file:{curve}")
+    assert main([suite, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is a sphere curve, but ambient is plane" in captured.err
+    with pytest.raises(ConfigInvalid, match="sphere curve.*ambient is plane"):
+        make_curve(SuiteConfig(suite=suite, grid_n=64, family=f"file:{curve}"))
+
+
 def test_list_exits_clean(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out.split()

@@ -72,6 +72,14 @@ def test_diff4_symbol_is_shared_and_read_only():
         lam[1] = 0.0
 
 
+@pytest.mark.parametrize("n", [16, 1024])
+def test_diff4_symbol_vanishes_exactly_on_its_kernel(n):
+    lam = diff4_symbol(n)
+    assert lam[0] == lam[n // 2] == 0.0
+    # the stencil annihilates the sampled alternating mode bitwise
+    assert np.all(diff4(np.cos(n // 2 * theta_grid(n))) == 0.0)
+
+
 def test_diff4_sine_matches_cosine():
     th = theta_grid(256)
     err = np.max(np.abs(diff4(np.sin(th)) - np.cos(th)))
@@ -142,7 +150,7 @@ def test_trig_basis_counts_and_leading_constant():
 
 def test_trig_basis_sine_at_nyquist_samples_to_zero():
     basis = trig_basis(16, 8)
-    np.testing.assert_allclose(basis[-1].samples, 0.0, atol=1e-14)
+    assert np.all(basis[-1].samples == 0.0)
 
 
 coeff = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)

@@ -1,5 +1,8 @@
 """Rank of normal fields plus first brackets, and bracket synthesis."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -150,9 +153,9 @@ def test_verify_spanning_matches_stacked_svd(n, family):
 
 
 def test_verify_spanning_across_bracket_chunks(monkeypatch):
-    # 33 basis functions give 528 bracket columns, factored 50 at a time
+    # 33 basis functions give 528 bracket columns, scattered 50 at a time
     c = random_fourier_curve(7, 32, 6, 3.0)
-    monkeypatch.setattr(spanning, "_CHUNK_BYTES", 50 * 32 * 8)
+    monkeypatch.setattr(spanning, "_PAIR_CHUNK", 50)
     for max_mode in (16, 15):
         sigma, rank = brute_force_spectrum(c, max_mode)
         report = verify_spanning(c, max_mode)
@@ -162,6 +165,49 @@ def test_verify_spanning_across_bracket_chunks(monkeypatch):
     # direction is a structural zero, reported exactly
     assert report.sigma_min == 0.0
     assert report.normal_rank == 31
+
+
+@pytest.mark.parametrize("family", sorted(SPAN_CURVES))
+@pytest.mark.parametrize("max_mode", [0, 32, 64])
+def test_verify_spanning_matches_stacked_svd_at_128(family, max_mode):
+    c = SPAN_CURVES[family](128)
+    sigma, rank = brute_force_spectrum(c, max_mode)
+    report = verify_spanning(c, max_mode)
+    assert report.singular_values.shape == sigma.shape
+    assert np.max(np.abs(report.singular_values - sigma)) <= 1e-12 * sigma[0]
+    assert report.rank == rank
+
+
+def test_unreached_modes_are_exact_zeros():
+    # the brackets of 7 trig functions reach the 11 Fourier coordinates up to
+    # mode 5 (mode 6 comes only from cos 3 and sin 3, whose sum term has
+    # coefficient lam_3 - lam_3 = 0), so the 28 singular values stop at rank
+    # 7 + 11 = 18 and the rest are exact zeros
+    report = verify_spanning(random_fourier_curve(7, 64, 6, 3.0), 3)
+    assert report.rank == 18
+    assert report.singular_values.shape == (28,)
+    assert np.all(report.singular_values[report.rank :] == 0.0)
+
+
+def test_working_set_bound_holds_for_the_measured_peak():
+    script = """
+import resource
+from norbrack.curves import ellipse
+from norbrack.spanning import verify_spanning, working_set_bytes
+verify_spanning(ellipse(16, 1.5, 0.7), 8)  # load LAPACK and its buffers first
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+verify_spanning(ellipse(512, 1.5, 0.7), 256)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024, working_set_bytes(512, 256))
+"""
+    # a child exec'd from this process inherits its peak RSS as ru_maxrss, so
+    # the measuring process is started from a bare interpreter
+    launcher = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, script], capture_output=True, text=True, check=True
+    )
+    rise, bound = (int(x) for x in proc.stdout.split())
+    assert 0 < rise <= bound
 
 
 def test_verify_spanning_rejects_sphere():
