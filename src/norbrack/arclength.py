@@ -20,6 +20,7 @@ from .curves import (
     DiscreteImmersion,
     ImmersionTangent,
     _check_attached,
+    _dot,
     _tangent_vectors,
     frame,
     save_curve_csv,
@@ -43,7 +44,7 @@ def arc_defect(c: DiscreteImmersion, h: ImmersionTangent) -> ArcDefect:
     _check_attached(c, h)
     s = speed(c).samples
     v, _ = frame(c)
-    u = np.sum((diff4(h.vectors) / s[:, None]) * v.vectors, axis=1)
+    u = _dot(diff4(h.vectors) / s[:, None], v.vectors)
     defect = diff4(u) / s
     return ArcDefect(
         u=PeriodicScalarField(u),
@@ -62,7 +63,7 @@ def _arc_projection(s: np.ndarray, v: np.ndarray, vectors: np.ndarray, passes: i
     total = s.sum()
     vectors = np.array(vectors)
     for _ in range(passes):
-        u = ((diff4(vectors) / s[:, None]) * v).sum(axis=1)
+        u = _dot(diff4(vectors) / s[:, None], v)
         w = (float((u * s).sum() / total) - u) * s
         psi = periodic_primitive(w)
         psi -= float((psi * s).sum() / total)

@@ -21,7 +21,9 @@ from .curves import (
     _check_attached,
     _check_points,
     _check_unit_norm,
+    _dot,
     _frames,
+    _norm,
     _project,
     _tangent_vectors,
     arclen_deriv,
@@ -36,8 +38,8 @@ from .fields import PeriodicScalarField, diff4
 # The batched pair checks stack chunks of pairs (and of basis functions) at
 # or below this size, 3 curves of n = 512 points on the sphere; only the
 # per-basis state shared by all pairs is held whole.  On the calc
-# benchmark, 72 KiB chunks ran 14% faster but raised peak RSS 3.2% over
-# the per-pair path, against 1.5% at this size.
+# benchmark (5 runs a size on a 2-core VM), 72 KiB chunks ran 14% faster
+# (wall_ref 110.2 -> 95.0) and raised peak RSS 1.0% (36.72 -> 37.07 MiB).
 _CHUNK_BYTES = 36 * 2**10
 
 
@@ -48,7 +50,7 @@ def _retract(ambient: str, points: np.ndarray) -> np.ndarray:
     """
     if ambient == PLANE:
         return points
-    return points / np.linalg.norm(points, axis=-1)[..., None]
+    return points / _norm(points)[..., None]
 
 
 def _check_step(c: DiscreteImmersion, eps: float) -> None:
@@ -333,6 +335,28 @@ def _chunks(count: int, item_bytes: int):
         yield slice(start, min(start + step, count))
 
 
+# Bytes each pair of a bracket or torsion run holds until the run ends: its
+# index pair, its batched value and its record.  tracemalloc reads 233-243
+# bytes per pair at n = 256 and 512 with 64 and 128 modes.
+_PAIR_BYTES = 256
+
+
+def _pairs_working_set_bytes(n: int, max_mode: int, dim: int) -> int:
+    """About the bytes a bracket or torsion run holds at its peak, for the
+    trig basis up to max_mode on n nodes in dim ambient coordinates.
+
+    Counts the basis, its coefficient and derivative matrices, the four
+    stacks of perturbed curves and normals that _NormalPairs holds whole,
+    _PAIR_BYTES for each pair, and eight chunks plus 24 curve-sized
+    temporaries (tracemalloc sees 11-23 curve sizes beyond the rest at
+    n = 1024 to 8192, where a chunk is one pair).
+    """
+    functions = 2 * max_mode + 1
+    pairs = functions * (functions - 1) // 2
+    state = 8 * n * functions * (4 * dim + 3)
+    return state + _PAIR_BYTES * pairs + 8 * _CHUNK_BYTES + 24 * 8 * n * dim
+
+
 class _NormalPairs:
     """The normal fields f_k n of one curve and their perturbed curves, stacked.
 
@@ -398,13 +422,13 @@ class _NormalPairs:
         numeric bracket's largest normal component."""
         numeric = self._numeric(i, j)
         diff = _tangents(self.ambient, self.points, numeric - self._closed_form(i, j))
-        leak = np.abs(_finite(np.sum(numeric * self.normal, axis=-1))).max(axis=0)
-        return list(zip(np.linalg.norm(diff, axis=-1).max(axis=0).tolist(), leak.tolist()))
+        leak = np.abs(_finite(_dot(numeric, self.normal))).max(axis=0)
+        return list(zip(_norm(diff).max(axis=0).tolist(), leak.tolist()))
 
     def torsion(self, i: np.ndarray, j: np.ndarray) -> list[float]:
         """torsion_defect of each pair."""
         defect = _tangents(self.ambient, self.points, self._numeric(i, j) - self._flow_commutator(i, j))
-        return np.linalg.norm(defect, axis=-1).max(axis=0).tolist()
+        return _norm(defect).max(axis=0).tolist()
 
 
 def _pairwise(check, c: DiscreteImmersion, basis: list[PeriodicScalarField], pairs, eps: float) -> list:

@@ -155,11 +155,13 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
             _check_modes(cfg.grid_n, k)
         except BasisTooLarge as exc:
             raise ConfigInvalid(f"modes={k}: {exc}") from exc
-    if cfg.suite == "spanning":
-        need = spanning.working_set_bytes(cfg.grid_n, k)
+        if cfg.suite == "spanning":
+            need = spanning.working_set_bytes(cfg.grid_n, k)
+        else:
+            need = calculus._pairs_working_set_bytes(cfg.grid_n, k, 2 if cfg.ambient == PLANE else 3)
         if need > spanning.WORKING_SET_BUDGET:
             raise ConfigInvalid(
-                f"spanning at grid_n={cfg.grid_n}, K={k} needs about {need / 2**20:.0f} MiB, "
+                f"{cfg.suite} at grid_n={cfg.grid_n}, K={k} needs about {need / 2**20:.0f} MiB, "
                 f"over the {spanning.WORKING_SET_BUDGET / 2**20:.0f} MiB budget"
             )
     return cfg
@@ -346,12 +348,18 @@ def _suite_spanning(cfg: SuiteConfig):
     yield f"K={k}", "normal_rank_deficit", 0.0, lambda: c.grid_n - report.normal_rank
 
 
-def _random_banded_form(rng, n: int, max_mode: int = 10) -> oneforms.OneFormSamples:
-    theta = theta_grid(n)
-    samples = np.full(n, rng.standard_normal())
-    for k in range(1, max_mode + 1):
+def _banded_tables(n: int, max_mode: int = 10) -> tuple[np.ndarray, np.ndarray]:
+    """cos(k theta) and sin(k theta) for k = 1..max_mode, one row per mode."""
+    k_theta = np.arange(1, max_mode + 1)[:, None] * theta_grid(n)
+    return np.cos(k_theta), np.sin(k_theta)
+
+
+def _random_banded_form(rng, cos_k: np.ndarray, sin_k: np.ndarray) -> oneforms.OneFormSamples:
+    """A constant plus random cos/sin coefficients on the rows of the tables."""
+    samples = np.full(cos_k.shape[1], rng.standard_normal())
+    for cos_row, sin_row in zip(cos_k, sin_k):
         ck, sk = rng.standard_normal(2)
-        samples = samples + ck * np.cos(k * theta) + sk * np.sin(k * theta)
+        samples = samples + ck * cos_row + sk * sin_row
     return oneforms.OneFormSamples(samples)
 
 
@@ -363,6 +371,7 @@ def _suite_oneform(cfg: SuiteConfig):
     n = cfg.grid_n
     rng = np.random.default_rng(cfg.seed)
     term_counts = []
+    tables = _banded_tables(n)
 
     def compute(alpha):
         dec = oneforms.decompose_oneform(alpha)
@@ -371,7 +380,7 @@ def _suite_oneform(cfg: SuiteConfig):
         return _rel_l2(recon.samples - alpha.samples, alpha.samples)
 
     for idx in range(cfg.cases):
-        yield f"form{idx}", "oneform_rel_l2", 1e-4, functools.partial(compute, _random_banded_form(rng, n))
+        yield f"form{idx}", "oneform_rel_l2", 1e-4, functools.partial(compute, _random_banded_form(rng, *tables))
     yield "all forms", "term_count", 8.0, lambda: max(term_counts, default=0)
 
     theta = theta_grid(n)

@@ -84,6 +84,36 @@ def _check_points(ambient: str, pts: np.ndarray) -> None:
         raise ValueError(f"unknown ambient {ambient!r}")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-node inner product over the last (coordinate) axis of length 2 or 3.
+
+    The component products are added left to right, the order in which
+    np.sum(a * b, axis=-1) adds them, so the two are bitwise equal; the
+    right-associated sum is not.  Written out, it skips the reduction
+    machinery that dominates on these short axes.
+    """
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Per-node Euclidean length over the last axis, bitwise equal to
+    np.linalg.norm(a, axis=-1)."""
+    return np.sqrt(_dot(a, a))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-node cross product of 3-vectors, with np.cross's component
+    formula written into one output array, so the two are bitwise equal."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
 def _frames(ambient: str, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(d_theta c, speed, v, n) of one curve, points shaped (n, d), or of m
     curves stacked as points shaped (n, m, d).
@@ -95,21 +125,23 @@ def _frames(ambient: str, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     stack reaches the speed floor.
     """
     deriv = diff4(points)
-    s = np.linalg.norm(deriv, axis=-1)
+    s = _norm(deriv)
     if s.min() <= SPEED_FLOOR:
         raise ImmersionDegenerate(f"minimum speed {s.min():.3e} at or below {SPEED_FLOOR:.0e}")
     v = deriv / s[..., None]
     if ambient == PLANE:
-        n = np.stack([-v[..., 1], v[..., 0]], axis=-1)
+        n = np.empty_like(v)
+        n[..., 0] = -v[..., 1]
+        n[..., 1] = v[..., 0]
     else:
-        n = np.cross(points, v)
+        n = _cross(points, v)
     return deriv, s, v, n
 
 
 def _check_unit_norm(points: np.ndarray) -> None:
     """Raise ValueError unless every point, of one curve or a stack, lies on
     the unit sphere."""
-    if np.abs(np.linalg.norm(points, axis=-1) - 1.0).max() > _SPHERE_NORM_TOL:
+    if np.abs(_norm(points) - 1.0).max() > _SPHERE_NORM_TOL:
         raise ValueError("sphere curve points must have unit norm")
 
 
@@ -121,7 +153,7 @@ def _project(ambient: str, points: np.ndarray, vectors: np.ndarray) -> np.ndarra
     """
     if ambient == PLANE:
         return vectors
-    return vectors - np.sum(vectors * points, axis=-1)[..., None] * points
+    return vectors - _dot(vectors, points)[..., None] * points
 
 
 def _tangent_vectors(ambient: str, points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -184,7 +216,7 @@ class ImmersionTangent:
 
     def max_norm(self) -> float:
         """Largest Euclidean length among the per-node vectors."""
-        return float(np.linalg.norm(self.vectors, axis=1).max())
+        return float(_norm(self.vectors).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,7 +230,7 @@ class TangentNormalSplit:
 def pointwise_inner(a: ImmersionTangent, b: ImmersionTangent) -> PeriodicScalarField:
     """Per-node Euclidean inner product of two tangents on the same curve."""
     a._check_same_base(b)
-    return PeriodicScalarField(np.sum(a.vectors * b.vectors, axis=1))
+    return PeriodicScalarField(_dot(a.vectors, b.vectors))
 
 
 def speed(c: DiscreteImmersion) -> PeriodicScalarField:
@@ -229,7 +261,7 @@ def curvature(c: DiscreteImmersion) -> PeriodicScalarField:
     dv = diff4(v.vectors) / c._geometry[1][:, None]
     # on the sphere, remove the ambient component pointing out of the sphere
     dv = _project(c.ambient, c.points, dv)
-    return PeriodicScalarField(np.sum(dv * n.vectors, axis=1))
+    return PeriodicScalarField(_dot(dv, n.vectors))
 
 
 def _check_attached(c: DiscreteImmersion, h: ImmersionTangent) -> None:
@@ -326,7 +358,7 @@ def random_fourier_curve(
     scale = amplitude
     for _ in range(100):
         pts = base + scale * pert
-        s = np.linalg.norm(diff4(pts), axis=1)
+        s = _norm(diff4(pts))
         if s.min() >= 0.1:
             return DiscreteImmersion(pts, PLANE)
         scale *= 0.5

@@ -81,9 +81,9 @@ def periodic_primitive(values: np.ndarray) -> np.ndarray:
     n = w.shape[0]
     _validate_grid_n(n)
     spec = np.fft.rfft(w)
-    out = np.zeros_like(spec)
-    out[1:-1] = spec[1:-1] / _primitive_divisor(n)
-    return np.fft.irfft(out, n)
+    spec[1:-1] /= _primitive_divisor(n)
+    spec[0] = spec[-1] = 0.0
+    return np.fft.irfft(spec, n)
 
 
 def _check_samples(arr: np.ndarray) -> None:

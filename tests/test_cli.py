@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from norbrack.cli import (
     _DEFAULT_EPS,
     ReportRecord,
     SuiteConfig,
+    _banded_tables,
+    _random_banded_form,
     _run_checks,
     emit_report,
     load_config,
@@ -22,6 +25,8 @@ from norbrack.cli import (
     validate_config,
 )
 from norbrack.curves import (
+    PLANE,
+    SPHERE,
     DiscreteImmersion,
     frame,
     pointwise_inner,
@@ -30,7 +35,7 @@ from norbrack.curves import (
     unit_circle,
 )
 from norbrack.errors import ConfigInvalid, NorbrackError, SupportViolation
-from norbrack.fields import trig_basis
+from norbrack.fields import theta_grid, trig_basis
 
 
 def write_config(tmp_path, **kwargs):
@@ -218,6 +223,47 @@ def test_default_spanning_grid_is_within_budget():
     assert validate_config(SuiteConfig(suite="spanning", grid_n=1024)).grid_n == 1024
 
 
+@pytest.mark.parametrize("suite", ["bracket", "torsion"])
+def test_oversized_pair_basis_is_config_error_before_any_work(tmp_path, monkeypatch, capsys, suite):
+    # 4097 trig functions on 4096 nodes: the stacks of perturbed curves alone
+    # would hold 1.4 GiB, and 8.4 million pairs would follow
+    import norbrack.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("pair work started")
+
+    monkeypatch.setattr(cli, "make_curve", never)
+    path = write_config(tmp_path, suite=suite, grid_n=4096, modes=2048)
+    assert main([suite, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {suite} at grid_n=4096, K=2048 needs about" in err and "budget" in err
+
+
+@pytest.mark.parametrize("suite", ["bracket", "torsion"])
+@pytest.mark.parametrize("grid_n", [256, 512])
+@pytest.mark.parametrize("ambient", [PLANE, SPHERE])
+def test_default_and_benchmark_pair_configs_are_within_budget(suite, grid_n, ambient):
+    cfg = SuiteConfig(suite=suite, grid_n=grid_n, ambient=ambient)
+    assert validate_config(cfg) is cfg
+
+
+# many pairs on a small grid, and few pairs on grids where a chunk is one pair
+@pytest.mark.parametrize(
+    "suite, ambient, grid_n, modes",
+    [("bracket", SPHERE, 64, 16), ("torsion", PLANE, 64, 16), ("bracket", PLANE, 8192, 2), ("torsion", SPHERE, 4096, 4)],
+)
+def test_pair_working_set_estimate_bounds_the_traced_peak(suite, ambient, grid_n, modes):
+    cfg = SuiteConfig(suite=suite, grid_n=grid_n, modes=modes, ambient=ambient)
+    tracemalloc.start()
+    try:
+        run_suite(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = calculus._pairs_working_set_bytes(grid_n, modes, 2 if ambient == PLANE else 3)
+    assert need / 2 < peak <= need
+
+
 def test_flags_override_config(tmp_path):
     path = write_config(tmp_path, suite="spanning", grid_n=32)
     out = str(tmp_path / "report.jsonl")
@@ -396,6 +442,19 @@ def test_pinched_pairs_fall_back_to_per_pair_functions(suite, floor, monkeypatch
         pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
         batched = calculus._pairwise(calculus._NormalPairs.torsion, c, basis, pairs, 1e-4)
         assert len(errored) < batched.count(None) < 36
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_banded_forms_from_tables_are_bitwise_the_per_form_sums(n):
+    theta = theta_grid(n)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    tables = _banded_tables(n)
+    for _ in range(3):
+        want = np.full(n, ref_rng.standard_normal())
+        for k in range(1, 11):
+            ck, sk = ref_rng.standard_normal(2)
+            want = want + ck * np.cos(k * theta) + sk * np.sin(k * theta)
+        assert np.array_equal(_random_banded_form(rng, *tables).samples, want)
 
 
 def oneform_records():

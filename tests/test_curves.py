@@ -15,7 +15,10 @@ from norbrack.curves import (
     SPHERE,
     DiscreteImmersion,
     ImmersionTangent,
+    _cross,
+    _dot,
     _frames,
+    _norm,
     arclen_deriv,
     circle,
     curvature,
@@ -94,6 +97,22 @@ def test_stacked_frames_are_bitwise_equal_to_each_curve(make):
     stacked = _frames(curves[0].ambient, np.stack([c.points for c in curves], axis=1))
     for got, want in zip(stacked, zip(*(c._geometry for c in curves))):
         assert np.array_equal(got, np.stack(want, axis=1))
+
+
+@pytest.mark.parametrize("shape", [(64, 2), (64, 3), (64, 7, 2), (64, 7, 3)])
+def test_component_kernels_match_numpy_bitwise(shape):
+    # magnitudes from 1e-8 to 1e8 make the order of the additions visible: a
+    # right-associated sum of three terms differs from numpy's in the last bit
+    rng = np.random.default_rng(11)
+    a, b = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape) for _ in range(2))
+    pairs = [(a, b), (a[::2], b[1::2])]  # contiguous, then strided slices
+    for x, y in pairs:
+        assert np.array_equal(_dot(x, y), np.sum(x * y, axis=-1))
+        assert np.array_equal(_norm(x), np.linalg.norm(x, axis=-1))
+        if shape[-1] == 3:
+            assert np.array_equal(_cross(x, y), np.cross(x, y))
+    # broadcast operands, as when a stack is projected onto one curve's planes
+    assert np.array_equal(_dot(a, b[:1]), np.sum(a * b[:1], axis=-1))
 
 
 def test_stacked_frames_raise_when_one_curve_is_degenerate():

@@ -110,6 +110,16 @@ def test_periodic_primitive_inverts_diff4():
     np.testing.assert_allclose(diff4(p), w, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [8, 256])
+def test_periodic_primitive_is_bitwise_the_division_into_a_zero_spectrum(n):
+    # random samples carry a mean and a Nyquist component, both dropped
+    w = np.random.default_rng(n).standard_normal(n)
+    spec = np.fft.rfft(w)
+    out = np.zeros_like(spec)
+    out[1:-1] = spec[1:-1] / (1j * diff4_symbol(n)[1:-1])
+    assert np.array_equal(periodic_primitive(w), np.fft.irfft(out, n))
+
+
 def test_field_requires_finite_samples():
     with pytest.raises(ValueError):
         PeriodicScalarField(np.array([np.nan] * 8))
