@@ -33,14 +33,7 @@ from .curves import (
     split_tangent_normal,
 )
 from .errors import GridMismatch, NorbrackError, StepTooLarge
-from .fields import PeriodicScalarField, diff4
-
-# The batched pair checks stack chunks of pairs (and of basis functions) at
-# or below this size, 3 curves of n = 512 points on the sphere; only the
-# per-basis state shared by all pairs is held whole.  On the calc
-# benchmark (5 runs a size on a 2-core VM), 72 KiB chunks ran 14% faster
-# (wall_ref 110.2 -> 95.0) and raised peak RSS 1.0% (36.72 -> 37.07 MiB).
-_CHUNK_BYTES = 36 * 2**10
+from .fields import _CHUNK_BYTES, PeriodicScalarField, diff4
 
 
 def _retract(ambient: str, points: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .curves import (
     random_fourier_curve,
 )
 from .errors import BasisTooLarge, ConfigInvalid, NorbrackError
-from .fields import PeriodicScalarField, _check_modes, theta_grid, trig_basis
+from .fields import _CHUNK_BYTES, PeriodicScalarField, _check_modes, diff4, theta_grid, trig_basis
 
 SUITES = ("bracket", "torsion", "variation", "spanning", "oneform", "arc")
 
@@ -155,16 +155,36 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
             _check_modes(cfg.grid_n, k)
         except BasisTooLarge as exc:
             raise ConfigInvalid(f"modes={k}: {exc}") from exc
-        if cfg.suite == "spanning":
-            need = spanning.working_set_bytes(cfg.grid_n, k)
-        else:
-            need = calculus._pairs_working_set_bytes(cfg.grid_n, k, 2 if cfg.ambient == PLANE else 3)
-        if need > spanning.WORKING_SET_BUDGET:
-            raise ConfigInvalid(
-                f"{cfg.suite} at grid_n={cfg.grid_n}, K={k} needs about {need / 2**20:.0f} MiB, "
-                f"over the {spanning.WORKING_SET_BUDGET / 2**20:.0f} MiB budget"
-            )
+    need, setting = _working_set(cfg)
+    if need > spanning.WORKING_SET_BUDGET:
+        raise ConfigInvalid(
+            f"{cfg.suite} at grid_n={cfg.grid_n}{setting} needs about {need / 2**20:.0f} MiB, "
+            f"over the {spanning.WORKING_SET_BUDGET / 2**20:.0f} MiB budget"
+        )
     return cfg
+
+
+def _working_set(cfg: SuiteConfig) -> tuple[int, str]:
+    """About the bytes a run of cfg holds at its peak, and the settings
+    besides grid_n that the peak grows with, as the budget message names them.
+
+    The arc and variation counts are curve-sized arrays (8 n bytes a
+    coordinate): tracemalloc reads 29 a coordinate for arc, and 21 (plane)
+    to 23 (sphere) for variation, at n = 1024 to 16384.  oneform counts
+    arrays of n floats (39 to 46 read at n = 8192 to 65536), eight chunks of
+    forms as _CHUNK_BYTES sizes them, and the bytes each record holds until
+    the run ends (233 read at n = 64 and 1024).
+    """
+    n, dim = cfg.grid_n, 2 if cfg.ambient == PLANE else 3
+    if cfg.suite == "spanning":
+        k = _modes(cfg)
+        return spanning.working_set_bytes(n, k), f", K={k}"
+    if cfg.suite in ("bracket", "torsion"):
+        k = _modes(cfg)
+        return calculus._pairs_working_set_bytes(n, k, dim), f", K={k}"
+    if cfg.suite == "oneform":
+        return 8 * n * 48 + 8 * _CHUNK_BYTES + 256 * cfg.cases, f", cases={cfg.cases}"
+    return 8 * n * dim * 32, ""
 
 
 def _modes(cfg: SuiteConfig) -> int:
@@ -354,33 +374,77 @@ def _banded_tables(n: int, max_mode: int = 10) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(k_theta), np.sin(k_theta)
 
 
-def _random_banded_form(rng, cos_k: np.ndarray, sin_k: np.ndarray) -> oneforms.OneFormSamples:
-    """A constant plus random cos/sin coefficients on the rows of the tables."""
-    samples = np.full(cos_k.shape[1], rng.standard_normal())
-    for cos_row, sin_row in zip(cos_k, sin_k):
-        ck, sk = rng.standard_normal(2)
-        samples = samples + ck * cos_row + sk * sin_row
-    return oneforms.OneFormSamples(samples)
+def _banded_rows(draws: np.ndarray, cos_k: np.ndarray, sin_k: np.ndarray) -> np.ndarray:
+    """One random form per row of draws: the constant draws[:, 0] plus the
+    cos/sin coefficient pairs that follow it on the rows of the tables,
+    added left to right."""
+    rows = np.repeat(draws[:, :1], cos_k.shape[1], axis=1)
+    for cos_row, sin_row, ck, sk in zip(cos_k, sin_k, draws[:, 1::2].T, draws[:, 2::2].T):
+        rows += ck[:, None] * cos_row
+        rows += sk[:, None] * sin_row
+    return rows
+
+
+def _oneform_errors(rows: np.ndarray) -> tuple[list, np.ndarray]:
+    """Relative reconstruction error and term count of each row's
+    decomposition, bitwise as decompose_oneform and reconstruct give them.
+
+    A row reconstructs to diff4(g) plus the mean and Nyquist terms that it
+    has, added in decompose_oneform's term order.
+    """
+    mean, nyquist, g = oneforms._hodge_split(rows)
+    *_, ab_mean, ab_nyquist = oneforms._grid_terms(rows.shape[1])
+    recon = diff4(g.T).T
+    for coeffs, ab in ((mean, ab_mean), (nyquist, ab_nyquist)):
+        live = coeffs != 0.0
+        recon[live] += coeffs[live, None] * ab
+    errors = [_rel_l2(got - want, want) for got, want in zip(recon, rows)]
+    return errors, np.count_nonzero((g.any(axis=1), mean, nyquist), axis=0)
 
 
 def _rel_l2(err: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(err) / max(np.linalg.norm(ref), 1.0))
 
 
+def _shared(compute):
+    """A compute for several checks that read one result: compute runs on
+    the first call only, and every call returns its result or raises its
+    error, so each of the checks records the error."""
+    outcome = []
+
+    def shared():
+        if not outcome:
+            try:
+                outcome.append((compute(), None))
+            except (NorbrackError, ValueError) as exc:
+                outcome.append((None, exc))
+        value, failure = outcome[0]
+        if failure is not None:
+            raise failure
+        return value
+
+    return shared
+
+
 def _suite_oneform(cfg: SuiteConfig):
     n = cfg.grid_n
     rng = np.random.default_rng(cfg.seed)
-    term_counts = []
     tables = _banded_tables(n)
+    term_counts = []
 
-    def compute(alpha):
-        dec = oneforms.decompose_oneform(alpha)
-        term_counts.append(len(dec))
-        recon = oneforms.reconstruct(dec, n)
-        return _rel_l2(recon.samples - alpha.samples, alpha.samples)
+    def chunk_errors(rows):
+        errors, counts = _oneform_errors(rows)
+        term_counts.extend(counts.tolist())
+        return errors
 
-    for idx in range(cfg.cases):
-        yield f"form{idx}", "oneform_rel_l2", 1e-4, functools.partial(compute, _random_banded_form(rng, *tables))
+    # the forms run as stacked chunks of rows; the first form of a chunk
+    # computes the chunk, and an error in it fails every form of the chunk
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    for start in range(0, cfg.cases, step):
+        draws = rng.standard_normal((min(step, cfg.cases - start), 21))
+        chunk = _shared(functools.partial(chunk_errors, _banded_rows(draws, *tables)))
+        for i in range(len(draws)):
+            yield f"form{start + i}", "oneform_rel_l2", 1e-4, lambda i=i, chunk=chunk: chunk()[i]
     yield "all forms", "term_count", 8.0, lambda: max(term_counts, default=0)
 
     theta = theta_grid(n)
@@ -388,17 +452,8 @@ def _suite_oneform(cfg: SuiteConfig):
     localized = oneforms.OneFormSamples(
         oneforms._bump((theta - np.pi / 2.0) / (np.pi / 6.0)) * np.cos(theta)
     )
-
     # both checks read one decomposition; if it raises, both records error
-    try:
-        supported, failure = oneforms.decompose_supported(localized, window), None
-    except (NorbrackError, ValueError) as exc:
-        supported, failure = None, exc
-
-    def decomposition():
-        if failure is not None:
-            raise failure
-        return supported
+    decomposition = _shared(functools.partial(oneforms.decompose_supported, localized, window))
 
     def compute_outside():
         dec = decomposition()

@@ -12,6 +12,7 @@ plateau to keep them inside a window.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -90,6 +91,48 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_terms(n: int) -> tuple:
+    """The per-grid fields of the Hodge split on n nodes.
+
+    Returns (cos1, sin1, sin_m, alternating, ab_mean, ab_nyquist): the fields
+    cos theta, sin theta and sin(M theta) with M = n/2 - 1, the alternating
+    signs (-1)^k, and the arrays ab_form(cos1, sin1) and ab_form(cos1, sin_m)
+    that the mean and Nyquist terms carry.  Computed once per n; the arrays
+    are shared and read-only.
+    """
+    theta = theta_grid(n)
+    cos1 = PeriodicScalarField(np.cos(theta))
+    sin1 = PeriodicScalarField(np.sin(theta))
+    sin_m = PeriodicScalarField(np.sin((n // 2 - 1) * theta))
+    alternating = 1.0 - 2.0 * (np.arange(n) % 2)
+    ab_mean = ab_form(cos1, sin1).samples
+    ab_nyquist = ab_form(cos1, sin_m).samples
+    alternating.flags.writeable = False
+    return cos1, sin1, sin_m, alternating, ab_mean, ab_nyquist
+
+
+def _hodge_split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hodge split of each row of an (m, n) stack of one-form samples.
+
+    Returns the mean coefficients, the Nyquist coefficients (each of shape
+    (m,), an exact 0 where the row has no such content) and the primitives g
+    as the rows of an (m, n) array; decompose_oneform says what they are.
+    Each row comes out bitwise as it would on its own: means run along the
+    contiguous last axis and the primitive along axis 0 of the transpose.
+    """
+    n = rows.shape[1]
+    lam = diff4_symbol(n)
+    *_, alternating, ab_mean, ab_nyquist = _grid_terms(n)
+    mean = np.mean(rows, axis=1) / lam[1]
+    nyquist = 2.0 * np.mean(rows * alternating, axis=1) / (lam[n // 2 - 1] - lam[1])
+    rest = rows.copy()
+    for coeffs, ab in ((mean, ab_mean), (nyquist, ab_nyquist)):
+        live = coeffs != 0.0
+        rest[live] -= coeffs[live, None] * ab
+    return mean, nyquist, periodic_primitive(rest.T).T
+
+
 def decompose_oneform(alpha: OneFormSamples) -> ABDecomposition:
     """Express alpha as at most three a db - b da terms.
 
@@ -97,43 +140,33 @@ def decompose_oneform(alpha: OneFormSamples) -> ABDecomposition:
     under the diff4 stencil that ab_form and reconstruct use (lam below is
     diff4_symbol(n), and M = n/2 - 1):
 
+    - (1, 1, g) carries the rest, with g = periodic_primitive(rest): diff4
+      of a constant is bitwise 0, so ab_form(1, g) = diff4(g) = rest.
+    - (mean / lam[1], cos theta, sin theta) carries the mean, since
+      ab_form(cos, sin) = lam[1] (cos^2 + sin^2).
     - (2 nu / (lam[M] - lam[1]), cos theta, sin(M theta)) carries nu times
       the alternating Nyquist mode, which no derivative on the grid
       reaches.  The one-form of (cos theta, sin(M theta)) is
       (lam[M] + lam[1]) / 2 * cos((M-1) theta)
       + (lam[M] - lam[1]) / 2 * cos((n/2) theta),
       and lam[M] - lam[1] = sin(2h) / (3h) is never zero.
-    - (mean / lam[1], cos theta, sin theta) carries the mean, since
-      ab_form(cos, sin) = lam[1] (cos^2 + sin^2).
-    - (1, 1, g) carries the rest, with g = periodic_primitive(rest): diff4
-      of a constant is bitwise 0, so ab_form(1, g) = diff4(g) = rest.
 
     The mean and Nyquist terms are subtracted as sampled, so their rounding
     and the mode M - 1 of the Nyquist term land in g.  A term whose content is
     exactly zero is left out, so the zero form yields an empty
-    decomposition.  Memory is O(n): no matrix is formed.
+    decomposition.  Memory is O(n): no matrix is formed.  The arithmetic is
+    _hodge_split's, run on alpha as a stack of one row.
     """
     n = alpha.grid_n
-    theta = theta_grid(n)
-    lam = diff4_symbol(n)
-    cos1 = PeriodicScalarField(np.cos(theta))
-    alternating = 1.0 - 2.0 * (np.arange(n) % 2)
-    nyquist = float(np.mean(alpha.samples * alternating))
-    mean = float(np.mean(alpha.samples))
-
+    cos1, sin1, sin_m, *_ = _grid_terms(n)
+    mean, nyquist, g = (part[0] for part in _hodge_split(alpha.samples[None]))
     terms = []
-    if mean != 0.0:
-        terms.append((mean / lam[1], cos1, PeriodicScalarField(np.sin(theta))))
-    if nyquist != 0.0:
-        coeff = 2.0 * nyquist / (lam[n // 2 - 1] - lam[1])
-        terms.append((coeff, cos1, PeriodicScalarField(np.sin((n // 2 - 1) * theta))))
-    rest = alpha.samples.copy()
-    for coeff, a, b in terms:
-        rest -= coeff * ab_form(a, b).samples
-
-    g = periodic_primitive(rest)
     if g.any():
-        terms.insert(0, (1.0, PeriodicScalarField.constant(1.0, n), PeriodicScalarField(g)))
+        terms.append((1.0, PeriodicScalarField.constant(1.0, n), PeriodicScalarField(g)))
+    if mean != 0.0:
+        terms.append((mean, cos1, sin1))
+    if nyquist != 0.0:
+        terms.append((nyquist, cos1, sin_m))
     return ABDecomposition(tuple(terms))
 
 

@@ -1,21 +1,24 @@
 """Configuration handling, suite runs, report format, exit codes."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import band_limited
 import norbrack.curves as curves
 from norbrack import calculus, oneforms
 from norbrack.cli import (
     _DEFAULT_EPS,
+    SUITES,
     ReportRecord,
     SuiteConfig,
-    _banded_tables,
-    _random_banded_form,
+    _rel_l2,
     _run_checks,
     emit_report,
     load_config,
@@ -35,7 +38,7 @@ from norbrack.curves import (
     unit_circle,
 )
 from norbrack.errors import ConfigInvalid, NorbrackError, SupportViolation
-from norbrack.fields import theta_grid, trig_basis
+from norbrack.fields import trig_basis
 
 
 def write_config(tmp_path, **kwargs):
@@ -264,6 +267,77 @@ def test_pair_working_set_estimate_bounds_the_traced_peak(suite, ambient, grid_n
     assert need / 2 < peak <= need
 
 
+@pytest.mark.parametrize("suite", ["oneform", "arc", "variation"])
+def test_oversized_grid_is_config_error_before_any_work(monkeypatch, capsys, suite):
+    # one array of 2**34 nodes alone is 128 GiB
+    import norbrack.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("suite work started")
+
+    monkeypatch.setattr(cli, "make_curve", never)
+    monkeypatch.setattr(cli, "_banded_tables", never)
+    assert main([suite, "--n", "17179869184"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {suite} at grid_n=17179869184" in err and "budget" in err
+
+
+def test_oneform_case_count_is_bounded(tmp_path, monkeypatch, capsys):
+    # each case keeps its record until the run ends
+    import norbrack.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("oneform work started")
+
+    monkeypatch.setattr(cli, "_banded_tables", never)
+    path = write_config(tmp_path, suite="oneform", cases=10**8)
+    assert main(["oneform", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: oneform at grid_n=256, cases=100000000 needs about" in err and "budget" in err
+
+
+def _benchmark_configs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [cfg for name in workloads.WORKLOADS for cfg in workloads.configs(name, workloads.CONFIRM_SEED)]
+
+
+def test_default_and_benchmark_configs_are_within_budget():
+    configs = [SuiteConfig(suite=suite) for suite in SUITES]
+    configs += [SuiteConfig(**fields) for fields in _benchmark_configs()]
+    assert {cfg.suite for cfg in configs} == set(SUITES)
+    for cfg in configs:
+        assert validate_config(cfg) is cfg
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"suite": "oneform", "grid_n": 8192, "cases": 1},
+        {"suite": "oneform", "grid_n": 64, "cases": 4000},
+        {"suite": "variation", "grid_n": 16384},
+        {"suite": "variation", "grid_n": 4096, "ambient": SPHERE},
+        {"suite": "arc", "grid_n": 4096},
+    ],
+)
+def test_working_set_estimate_bounds_the_traced_peak(fields):
+    import norbrack.cli as cli
+
+    cfg = SuiteConfig(**fields)
+    run_suite(cfg)  # a warm run: one-time imports and caches do not count
+    tracemalloc.start()
+    try:
+        run_suite(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need, _ = cli._working_set(cfg)
+    assert need / 2 < peak <= need
+
+
 def test_flags_override_config(tmp_path):
     path = write_config(tmp_path, suite="spanning", grid_n=32)
     out = str(tmp_path / "report.jsonl")
@@ -444,17 +518,54 @@ def test_pinched_pairs_fall_back_to_per_pair_functions(suite, floor, monkeypatch
         assert len(errored) < batched.count(None) < 36
 
 
+def oneform_reference(n, cases, seed):
+    """(case, metric, value) of each random form's record, one form at a
+    time (sequential draws, decompose_oneform, reconstruct and _rel_l2),
+    and each form's term count."""
+    rng = np.random.default_rng(seed)
+    records, counts = [], []
+    for idx in range(cases):
+        alpha = band_limited(n, 10, rng)
+        dec = oneforms.decompose_oneform(oneforms.OneFormSamples(alpha))
+        counts.append(len(dec))
+        records.append((f"form{idx}", "oneform_rel_l2", _rel_l2(oneforms.reconstruct(dec, n).samples - alpha, alpha)))
+    return records, counts
+
+
 @pytest.mark.parametrize("n", [16, 256])
-def test_banded_forms_from_tables_are_bitwise_the_per_form_sums(n):
-    theta = theta_grid(n)
-    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
-    tables = _banded_tables(n)
-    for _ in range(3):
-        want = np.full(n, ref_rng.standard_normal())
-        for k in range(1, 11):
-            ck, sk = ref_rng.standard_normal(2)
-            want = want + ck * np.cos(k * theta) + sk * np.sin(k * theta)
-        assert np.array_equal(_random_banded_form(rng, *tables).samples, want)
+def test_oneform_suite_chunks_are_bitwise_the_per_form_reference(n, monkeypatch):
+    import norbrack.cli as cli
+
+    # three forms a chunk, so that the last of the 7 chunks is partial
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 3 * 8 * n)
+    records = run_suite(SuiteConfig(suite="oneform", grid_n=n, cases=7, seed=5))
+    want, counts = oneform_reference(n, 7, 5)
+    want.append(("all forms", "term_count", float(max(counts))))
+    assert [(rec.case, rec.metric, rec.value) for rec in records[:8]] == want
+
+
+def test_oneform_suite_chunk_error_fails_every_form_of_the_chunk(monkeypatch):
+    import norbrack.cli as cli
+
+    want, counts = oneform_reference(16, 7, 5)
+    for idx in (3, 4, 5):
+        want[idx] = (f"form{idx} [ValueError: split failed]", "oneform_rel_l2", np.inf)
+    want.append(("all forms", "term_count", float(max(counts[:3] + counts[6:]))))
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", 3 * 8 * 16)
+    calls = []
+    hodge_split = oneforms._hodge_split
+
+    def second_fails(rows):
+        calls.append(len(rows))
+        if len(calls) == 2:
+            raise ValueError("split failed")
+        return hodge_split(rows)
+
+    monkeypatch.setattr(oneforms, "_hodge_split", second_fails)
+    records = run_suite(SuiteConfig(suite="oneform", grid_n=16, cases=7, seed=5))
+    assert [(rec.case, rec.metric, rec.value) for rec in records[:8]] == want
+    # one split a chunk, then the localized form's
+    assert calls == [3, 3, 1, 1]
 
 
 def oneform_records():

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import band_limited, rel_l2
 from norbrack.errors import GridMismatch, SupportViolation
-from norbrack.fields import PeriodicScalarField, diff4, theta_grid
+from norbrack.fields import PeriodicScalarField, diff4, diff4_symbol, theta_grid
 from norbrack.oneforms import (
     ABDecomposition,
     OneFormSamples,
+    _hodge_split,
     ab_form,
     decompose_oneform,
     decompose_supported,
@@ -111,6 +112,46 @@ def test_decompose_is_sample_exact_on_mean_band_and_nyquist(n):
         dec = decompose_oneform(OneFormSamples(alpha))
         assert len(dec) <= 8, name
         assert rel_l2(reconstruct(dec, n).samples, alpha) <= 1e-12, name
+
+
+@pytest.mark.parametrize("n", [8, 256, 1024])
+def test_stacked_hodge_split_is_bitwise_the_per_row_decomposition(n):
+    # random rows, rows whose mean or whose Nyquist content is an exact 0
+    # (entries cancel in pairs), a constant, a pure Nyquist row and the zero
+    # form, split as one stack
+    rng = np.random.default_rng(n)
+    th = theta_grid(n)
+    alternating = np.cos((n // 2) * th)
+    pairs = np.repeat(rng.standard_normal(n // 2), 2)
+    rows = np.stack(
+        [
+            rng.standard_normal(n),
+            band_limited(n, min(10, n // 2 - 1), rng),
+            pairs * alternating,
+            pairs,
+            np.full(n, 0.7),
+            -1.3 * alternating,
+            np.zeros(n),
+            rng.standard_normal(n),
+        ]
+    )
+    mean, nyquist, g = _hodge_split(rows)
+    lam = diff4_symbol(n)
+    assert mean[2] == mean[5] == mean[6] == 0.0 and 0.0 not in mean[[0, 3, 4, 7]]
+    assert nyquist[3] == nyquist[4] == nyquist[6] == 0.0 and 0.0 not in nyquist[[0, 2, 5, 7]]
+    cos1, sin1, sin_m = np.cos(th), np.sin(th), np.sin((n // 2 - 1) * th)
+    for i, row in enumerate(rows):
+        assert mean[i] == np.mean(row) / lam[1]
+        assert nyquist[i] == 2.0 * np.mean(row * alternating) / (lam[n // 2 - 1] - lam[1])
+        dec = decompose_oneform(OneFormSamples(row))
+        want = [(1.0, np.ones(n), g[i])] if g[i].any() else []
+        want += [(mean[i], cos1, sin1)] if mean[i] != 0.0 else []
+        want += [(nyquist[i], cos1, sin_m)] if nyquist[i] != 0.0 else []
+        assert len(dec) == len(want), i
+        for (coeff, a, b), (want_coeff, want_a, want_b) in zip(dec.terms, want):
+            assert coeff == want_coeff, i
+            assert np.array_equal(a.samples, want_a) and np.array_equal(b.samples, want_b), i
+    assert len(decompose_oneform(OneFormSamples(rows[6]))) == 0 and not g[6].any()
 
 
 def test_decompose_term_budget():
