@@ -44,13 +44,19 @@ def arc_defect(c: DiscreteImmersion, h: ImmersionTangent) -> ArcDefect:
     _check_attached(c, h)
     s = speed(c).samples
     v, _ = frame(c)
-    u = _dot(diff4(h.vectors) / s[:, None], v.vectors)
+    u = _stretch_rate(s, v.vectors, h.vectors)
     defect = diff4(u) / s
     return ArcDefect(
         u=PeriodicScalarField(u),
         defect=PeriodicScalarField(defect),
         defect_norm=float(np.abs(defect).max()),
     )
+
+
+def _stretch_rate(s: np.ndarray, v: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """u = <D_s h, v> per node, for speed s (n,), unit tangent v and the
+    vectors of h (n, d)."""
+    return _dot(diff4(vectors) / s[:, None], v)
 
 
 def _arc_projection(s: np.ndarray, v: np.ndarray, vectors: np.ndarray, passes: int = 3) -> np.ndarray:
@@ -63,12 +69,23 @@ def _arc_projection(s: np.ndarray, v: np.ndarray, vectors: np.ndarray, passes: i
     total = s.sum()
     vectors = np.array(vectors)
     for _ in range(passes):
-        u = _dot(diff4(vectors) / s[:, None], v)
+        u = _stretch_rate(s, v, vectors)
         w = (float((u * s).sum() / total) - u) * s
         psi = periodic_primitive(w)
         psi -= float((psi * s).sum() / total)
         vectors += psi[:, None] * v
     return vectors
+
+
+def _checked_projection(
+    ambient: str, points: np.ndarray, geometry, vectors: np.ndarray, passes: int = 3
+) -> np.ndarray:
+    """project_to_arc on a curve as a CurveField rule sees it: the checks
+    of speed(c) and frame(c), then _arc_projection of the vectors."""
+    _, s, v, _ = geometry()
+    _check_samples(s)  # speed(c)
+    v = _tangent_vectors(ambient, points, v)  # frame(c); n is finite where v is
+    return _arc_projection(s, v, vectors, passes)
 
 
 def project_to_arc(
@@ -84,37 +101,20 @@ def project_to_arc(
     data-dependent branching).  Three passes are not idempotent to
     rounding: for h = cos * n on the 1.5 x 0.7 ellipse at n = 128, the
     arc_defect norm is 2.1e-8 after 3 passes and 3.3e-14 after 6.
-
-    The passes run on plain arrays in _arc_projection.  The projected flows
-    of flow_arc call that kernel at every RK4 stage with the same operands
-    and after the same checks as here: finite speeds (speed), a finite
-    frame (frame) and finite corrected vectors (ImmersionTangent).
     """
     _check_attached(c, h)
-    s = speed(c).samples
-    v, _ = frame(c)
-    return ImmersionTangent(_arc_projection(s, v.vectors, h.vectors, passes), c)
+    vectors = _checked_projection(c.ambient, c.points, lambda: c._geometry, h.vectors, passes)
+    return ImmersionTangent(vectors, c)
 
 
 def _projected(field: CurveField) -> CurveField:
-    """The field P[F]: c -> project_to_arc(c, F(c)).
+    """The field P[F]: c -> project_to_arc(c, F(c)), on the arrays of its
+    rule, so a flow of it builds no container."""
 
-    When F has an array rule, so does P[F]: it runs project_to_arc's checks
-    and arithmetic on the stage's frames, so a flow builds no container.
-    """
-    projected = CurveField(lambda c: project_to_arc(c, field(c)), f"P[{field.name}]")
-    if field._points_rule is None:
-        return projected
+    def rule(ambient: str, points: np.ndarray, geometry) -> np.ndarray:
+        return _checked_projection(ambient, points, geometry, field._vectors(ambient, points, geometry))
 
-    def points_rule(ambient: str, points: np.ndarray, geometry) -> np.ndarray:
-        h = field._points_rule(ambient, points, geometry)
-        _, s, v, _ = geometry
-        _check_samples(s)  # speed(c)
-        v = _tangent_vectors(ambient, points, v)  # frame(c)
-        return _tangent_vectors(ambient, points, _arc_projection(s, v, h))
-
-    projected._points_rule = points_rule
-    return projected
+    return CurveField(rule, f"P[{field.name}]")
 
 
 def _check_flow(c0: DiscreteImmersion, steps: int) -> None:
@@ -130,14 +130,12 @@ def flow_field(
     """RK4 flow of a field as given: dc/dt = F(c).
 
     The loop runs on (n, 2) point arrays; only the returned curve is a
-    DiscreteImmersion.  Each stage evaluates F at its points through the
-    field's array rule where it has one (normal and tangent fields and
-    their projections: one frame computation, no containers), and through
-    a curve built from the points otherwise (constant and composite
-    fields).  Either way every stage runs the checks of building the curve
-    and evaluating F on it: finite points, the speed floor, finite vectors
-    and matching grids.  So a flow that pinches the curve raises
-    ImmersionDegenerate mid-way, with the message the curve would give.
+    DiscreteImmersion.  Each stage runs the checks of building a curve on
+    its points, then the field's one rule, which raises where evaluating F
+    on that curve would (the speed floor, finite vectors, matching grids),
+    takes the frame at most once and builds no container.  So a flow that
+    pinches the curve raises ImmersionDegenerate mid-way, with the message
+    the curve would give.
     """
     _check_flow(c0, steps)
     if t == 0.0:
@@ -158,8 +156,8 @@ def flow_arc(
 ) -> DiscreteImmersion:
     """RK4 flow of the projected field: dc/dt = project_to_arc(c, F(c)).
 
-    Runs in flow_field: when F has an array rule, each stage projects with
-    the same kernel as project_to_arc on the stage's arrays.
+    Runs in flow_field: each stage projects with project_to_arc's checks
+    and kernel on the stage's arrays.
     """
     return flow_field(c0, _projected(field), t, steps)
 

@@ -53,47 +53,65 @@ def _check_step(c: DiscreteImmersion, eps: float) -> None:
         raise StepTooLarge(f"eps = {eps:g} exceeds a tenth of the minimum speed")
 
 
+def _lazy_frames(ambient: str, points: np.ndarray):
+    """A geometry callable for a CurveField rule: _frames(ambient, points),
+    computed on the first call only, as DiscreteImmersion._geometry is."""
+    frames = []
+
+    def geometry():
+        if not frames:
+            frames.append(_frames(ambient, points))
+        return frames[0]
+
+    return geometry
+
+
 class CurveField:
     """A rule assigning a deformation vector field to every curve.
+
+    The one rule maps (ambient, points, geometry) to the vectors that the
+    field's ImmersionTangent is built from, and raises where evaluating the
+    field on the curve raises, in the same order.  The points have passed
+    the curve checks; geometry() returns curves._frames of the points,
+    computed only when called, so a field that needs no frame (a constant
+    field) computes none.  Calling the field on a curve and each stage of a
+    flow (_velocity) run this rule.
 
     Fields support addition and scaling, so composites like v + 0.3 * (a n)
     can be built from the named constructors below.
     """
 
-    # An optional array rule (ambient, points, geometry) -> vectors, where
-    # geometry is curves._frames(ambient, points) of points that passed the
-    # curve checks.  It must give the rule's vectors bitwise, with the rule's
-    # checks in the rule's order, without building a container.
-    _points_rule = None
-
-    def __init__(self, rule: Callable[[DiscreteImmersion], ImmersionTangent], name: str = "field"):
+    def __init__(self, rule: Callable[[str, np.ndarray, Callable], np.ndarray], name: str = "field"):
         self._rule = rule
         self.name = name
 
     def __call__(self, c: DiscreteImmersion) -> ImmersionTangent:
-        return self._rule(c)
+        return ImmersionTangent(self._rule(c.ambient, c.points, lambda: c._geometry), c)
+
+    def _vectors(self, ambient: str, points: np.ndarray, geometry) -> np.ndarray:
+        """The rule's vectors after ImmersionTangent's checks and projection."""
+        return _tangent_vectors(ambient, points, self._rule(ambient, points, geometry))
 
     def _velocity(self, ambient: str, points: np.ndarray) -> np.ndarray:
         """The field's vectors at the curve with these points, as an array:
-        the velocity of a flow at one stage.
-
-        With an array rule the points get DiscreteImmersion's checks and one
-        _frames call; otherwise the curve is built and the rule called.
-        """
-        if self._points_rule is None:
-            return self(DiscreteImmersion(points, ambient)).vectors
+        the velocity of a flow at one stage, with the checks of building the
+        curve and evaluating the field on it, and no container."""
         _check_points(ambient, points)
-        return self._points_rule(ambient, points, _frames(ambient, points))
+        return self._vectors(ambient, points, _lazy_frames(ambient, points))
 
     def __add__(self, other: "CurveField") -> "CurveField":
-        return CurveField(lambda c: self(c) + other(c), f"{self.name}+{other.name}")
+        return CurveField(
+            lambda *curve: self._vectors(*curve) + other._vectors(*curve), f"{self.name}+{other.name}"
+        )
 
     def __sub__(self, other: "CurveField") -> "CurveField":
-        return CurveField(lambda c: self(c) - other(c), f"{self.name}-{other.name}")
+        return CurveField(
+            lambda *curve: self._vectors(*curve) - other._vectors(*curve), f"{self.name}-{other.name}"
+        )
 
     def __mul__(self, factor: float) -> "CurveField":
         factor = float(factor)
-        return CurveField(lambda c: self(c) * factor, f"{factor:g}*{self.name}")
+        return CurveField(lambda *curve: self._vectors(*curve) * factor, f"{factor:g}*{self.name}")
 
     __rmul__ = __mul__
 
@@ -102,26 +120,21 @@ class CurveField:
 
 
 def _frame_field(index: int, coeff, name: str) -> CurveField:
-    """The field c -> coeff * frame(c)[index] (the bare frame vector when
-    coeff is None), with an array rule when coeff is None or a field."""
-    if coeff is None:
-        field = CurveField(lambda c: frame(c)[index], name)
-    else:
-        field = CurveField(lambda c: frame(c)[index] * coeff, name)
-        if not isinstance(coeff, PeriodicScalarField):
-            return field
+    """The field c -> coeff * frame(c)[index], the bare frame vector when
+    coeff is None, with ImmersionTangent.__mul__'s grid check."""
 
-    def points_rule(ambient: str, points: np.ndarray, geometry) -> np.ndarray:
-        # frame(c) wraps both v and n, then ImmersionTangent.__mul__ scales
-        vec = [_tangent_vectors(ambient, points, x) for x in geometry[2:]][index]
+    def rule(ambient: str, points: np.ndarray, geometry) -> np.ndarray:
+        # frame(c) checks and projects both v and n
+        vec = [_tangent_vectors(ambient, points, x) for x in geometry()[2:]][index]
         if coeff is None:
-            return vec
-        if coeff.grid_n != points.shape[0]:
-            raise GridMismatch("scalar field lives on a different grid")
-        return _tangent_vectors(ambient, points, vec * coeff.samples[:, None])
+            return geometry()[2 + index]  # projected once, by the field's wrap
+        if isinstance(coeff, PeriodicScalarField):
+            if coeff.grid_n != points.shape[0]:
+                raise GridMismatch("scalar field lives on a different grid")
+            return vec * coeff.samples[:, None]
+        return vec * float(coeff)
 
-    field._points_rule = points_rule
-    return field
+    return CurveField(rule, name)
 
 
 def normal_field(a: PeriodicScalarField | None = None, name: str | None = None) -> CurveField:
@@ -142,10 +155,11 @@ def constant_field(w, name: str | None = None) -> CurveField:
     """
     w = np.asarray(w, dtype=float)
 
-    def rule(c: DiscreteImmersion) -> ImmersionTangent:
-        if w.shape != (c.ambient_dim,):
-            raise GridMismatch(f"constant vector has dimension {w.shape}, curve needs {c.ambient_dim}")
-        return ImmersionTangent(np.tile(w, (c.grid_n, 1)), c)
+    def rule(ambient: str, points: np.ndarray, geometry) -> np.ndarray:
+        n, dim = points.shape
+        if w.shape != (dim,):
+            raise GridMismatch(f"constant vector has dimension {w.shape}, curve needs {dim}")
+        return np.tile(w, (n, 1))
 
     return CurveField(rule, name or "constant")
 

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .curves import (
     random_fourier_curve,
 )
 from .errors import BasisTooLarge, ConfigInvalid, NorbrackError
-from .fields import _CHUNK_BYTES, PeriodicScalarField, _check_modes, diff4, theta_grid, trig_basis
+from .fields import _CHUNK_BYTES, PeriodicScalarField, _check_modes, theta_grid, trig_basis
 
 SUITES = ("bracket", "torsion", "variation", "spanning", "oneform", "arc")
 
@@ -43,20 +43,6 @@ _DEFAULT_EPS = {
     "variation": 1e-4,
     "arc": 1e-4,
 }
-
-_CONFIG_KEYS = {
-    "suite",
-    "grid_n",
-    "modes",
-    "eps",
-    "family",
-    "ambient",
-    "seed",
-    "out",
-    "cases",
-    "tolerances",
-}
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -103,7 +89,7 @@ def load_config(path) -> SuiteConfig:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in fields(SuiteConfig)}
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
     return SuiteConfig(suite=raw.get("suite", ""), **{k: v for k, v in raw.items() if k != "suite"})
@@ -385,23 +371,6 @@ def _banded_rows(draws: np.ndarray, cos_k: np.ndarray, sin_k: np.ndarray) -> np.
     return rows
 
 
-def _oneform_errors(rows: np.ndarray) -> tuple[list, np.ndarray]:
-    """Relative reconstruction error and term count of each row's
-    decomposition, bitwise as decompose_oneform and reconstruct give them.
-
-    A row reconstructs to diff4(g) plus the mean and Nyquist terms that it
-    has, added in decompose_oneform's term order.
-    """
-    mean, nyquist, g = oneforms._hodge_split(rows)
-    *_, ab_mean, ab_nyquist = oneforms._grid_terms(rows.shape[1])
-    recon = diff4(g.T).T
-    for coeffs, ab in ((mean, ab_mean), (nyquist, ab_nyquist)):
-        live = coeffs != 0.0
-        recon[live] += coeffs[live, None] * ab
-    errors = [_rel_l2(got - want, want) for got, want in zip(recon, rows)]
-    return errors, np.count_nonzero((g.any(axis=1), mean, nyquist), axis=0)
-
-
 def _rel_l2(err: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(err) / max(np.linalg.norm(ref), 1.0))
 
@@ -433,9 +402,11 @@ def _suite_oneform(cfg: SuiteConfig):
     term_counts = []
 
     def chunk_errors(rows):
-        errors, counts = _oneform_errors(rows)
+        # each row's reconstruction error and term count, bitwise as
+        # decompose_oneform and reconstruct give them
+        recon, counts = oneforms._reconstruct_split(*oneforms._hodge_split(rows))
         term_counts.extend(counts.tolist())
-        return errors
+        return [_rel_l2(got - want, want) for got, want in zip(recon, rows)]
 
     # the forms run as stacked chunks of rows; the first form of a chunk
     # computes the chunk, and an error in it fails every form of the chunk

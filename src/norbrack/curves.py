@@ -168,6 +168,15 @@ def _tangent_vectors(ambient: str, points: np.ndarray, vectors: np.ndarray) -> n
     return _project(ambient, points, vectors)
 
 
+def _check_attached(c: DiscreteImmersion, h: ImmersionTangent) -> None:
+    """Raise GridMismatch unless h is attached to c: the same curve object,
+    or one with the same ambient and bitwise the same points."""
+    if h.base is c:
+        return
+    if h.base.ambient != c.ambient or not np.array_equal(h.base.points, c.points):
+        raise GridMismatch("tangent is attached to a different curve")
+
+
 @dataclass(frozen=True, eq=False)
 class ImmersionTangent:
     """A deformation vector attached to each node of a base curve.
@@ -186,20 +195,12 @@ class ImmersionTangent:
         vec.flags.writeable = False
         object.__setattr__(self, "vectors", vec)
 
-    def _check_same_base(self, other: "ImmersionTangent") -> None:
-        if self.base is other.base:
-            return
-        if self.base.ambient != other.base.ambient or not np.array_equal(
-            self.base.points, other.base.points
-        ):
-            raise GridMismatch("tangents are attached to different curves")
-
     def __add__(self, other: "ImmersionTangent") -> "ImmersionTangent":
-        self._check_same_base(other)
+        _check_attached(self.base, other)
         return ImmersionTangent(self.vectors + other.vectors, self.base)
 
     def __sub__(self, other: "ImmersionTangent") -> "ImmersionTangent":
-        self._check_same_base(other)
+        _check_attached(self.base, other)
         return ImmersionTangent(self.vectors - other.vectors, self.base)
 
     def __mul__(self, other) -> "ImmersionTangent":
@@ -229,7 +230,7 @@ class TangentNormalSplit:
 
 def pointwise_inner(a: ImmersionTangent, b: ImmersionTangent) -> PeriodicScalarField:
     """Per-node Euclidean inner product of two tangents on the same curve."""
-    a._check_same_base(b)
+    _check_attached(a.base, b)
     return PeriodicScalarField(_dot(a.vectors, b.vectors))
 
 
@@ -262,13 +263,6 @@ def curvature(c: DiscreteImmersion) -> PeriodicScalarField:
     # on the sphere, remove the ambient component pointing out of the sphere
     dv = _project(c.ambient, c.points, dv)
     return PeriodicScalarField(_dot(dv, n.vectors))
-
-
-def _check_attached(c: DiscreteImmersion, h: ImmersionTangent) -> None:
-    if h.base is c:
-        return
-    if h.base.ambient != c.ambient or not np.array_equal(h.base.points, c.points):
-        raise GridMismatch("tangent is attached to a different curve")
 
 
 def split_tangent_normal(c: DiscreteImmersion, h: ImmersionTangent) -> TangentNormalSplit:

@@ -123,14 +123,33 @@ def _hodge_split(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     n = rows.shape[1]
     lam = diff4_symbol(n)
-    *_, alternating, ab_mean, ab_nyquist = _grid_terms(n)
+    alternating = _grid_terms(n)[3]
     mean = np.mean(rows, axis=1) / lam[1]
     nyquist = 2.0 * np.mean(rows * alternating, axis=1) / (lam[n // 2 - 1] - lam[1])
-    rest = rows.copy()
+    rest = _add_grid_terms(rows.copy(), -mean, -nyquist)
+    return mean, nyquist, periodic_primitive(rest.T).T
+
+
+def _add_grid_terms(rows: np.ndarray, mean: np.ndarray, nyquist: np.ndarray) -> np.ndarray:
+    """Add to each row, in place, its mean and Nyquist terms, coeff *
+    ab_form, in decompose_oneform's order; a row whose coefficient is an
+    exact 0 has no such term and is left alone.  Subtracting a term is
+    adding it with the coefficient negated, bitwise."""
+    *_, ab_mean, ab_nyquist = _grid_terms(rows.shape[1])
     for coeffs, ab in ((mean, ab_mean), (nyquist, ab_nyquist)):
         live = coeffs != 0.0
-        rest[live] -= coeffs[live, None] * ab
-    return mean, nyquist, periodic_primitive(rest.T).T
+        rows[live] += coeffs[live, None] * ab
+    return rows
+
+
+def _reconstruct_split(
+    mean: np.ndarray, nyquist: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The reconstruction and term count of each row of a _hodge_split,
+    bitwise as reconstruct(decompose_oneform(row)) and its len give them:
+    diff4(g) plus the mean and Nyquist terms the row has."""
+    recon = _add_grid_terms(diff4(g.T).T, mean, nyquist)
+    return recon, np.count_nonzero((g.any(axis=1), mean, nyquist), axis=0)
 
 
 def decompose_oneform(alpha: OneFormSamples) -> ABDecomposition:

@@ -338,6 +338,23 @@ def test_array_flow_checks_speeds_in_the_container_order():
         assert np.array_equal(got.points, reference_flow(c, field, 0.1, 1, False).points)
 
 
+def test_constant_fields_compute_no_frame():
+    # all 16 samples equal: the curve has no frame, but a constant field
+    # needs none, so evaluating it and flowing along it translate the points
+    c = DiscreteImmersion(np.tile([0.5, -0.25], (16, 1)), PLANE)
+    w = np.array([1.0, 0.0])
+    with pytest.raises(ImmersionDegenerate):
+        frame(c)
+    assert np.array_equal(constant_field((1.0, 0.0))(c).vectors, np.tile(w, (16, 1)))
+    for factor, field in ((1.0, constant_field((1.0, 0.0))), (2.0, 2.0 * constant_field((1.0, 0.0)))):
+        k = np.tile(w * factor, (16, 1))
+        want = np.array(c.points)
+        for _ in range(2):
+            want = want + (0.05 / 6.0) * (k + 2.0 * k + 2.0 * k + k)
+        got = flow_field(c, field, 0.1, 2)
+        assert np.array_equal(got.points, want), field.name
+
+
 def test_leaf_invariant_defect_on_the_ellipse_is_pinned():
     # The flow workload's one failing record (tolerance 1e-5): flowing cos*n
     # to t = 0.3 on the 1.5 x 0.7 ellipse at n = 256 leaves a residue that

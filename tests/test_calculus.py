@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norbrack import calculus
+from norbrack.arclength import _projected, project_to_arc
 from norbrack.calculus import (
     bracket_closed_form,
     bracket_numeric,
@@ -242,6 +243,40 @@ def test_curve_field_algebra():
     combo = (2.0 * normal_field() - tangent_field())(c)
     want = nn * 2.0 - v
     assert (combo - want).max_norm() == 0.0
+
+
+@pytest.mark.parametrize(
+    "make_curve",
+    [lambda: ellipse(64, 1.5, 0.7), lambda: latitude_circle(64, 0.6), lambda: wobbly_sphere_curve(64)],
+)
+def test_fields_are_bitwise_their_container_formulas(make_curve):
+    # each built-in field against the formula it stands for, written out on
+    # the curve's containers
+    c = make_curve()
+    n = c.grid_n
+    v, nn = frame(c)
+    a = trig(np.cos, 1, n) + trig(np.sin, 2, n) * 0.5
+    m = trig(np.sin, 3, n)
+    w = np.linspace(0.3, -0.7, c.ambient_dim)
+    cases = [
+        (normal_field(), frame(c)[1]),
+        (tangent_field(), frame(c)[0]),
+        (normal_field(a), nn * a),
+        (tangent_field(m), v * m),
+        (normal_field(2.5), nn * 2.5),
+        (2.0 * normal_field(a) - tangent_field(), nn * a * 2.0 - v),
+        (-normal_field(a), (nn * a) * -1.0),
+        (constant_field(w), ImmersionTangent(np.tile(w, (n, 1)), c)),
+    ]
+    if c.ambient == PLANE:
+        cases += [
+            (_projected(normal_field(a)), project_to_arc(c, nn * a)),
+            (_projected(normal_field() + 0.3 * tangent_field()), project_to_arc(c, nn + v * 0.3)),
+        ]
+    for field, want in cases:
+        got = field(c)
+        assert got.base is c, field.name
+        assert np.array_equal(got.vectors, want.vectors), field.name
 
 
 BATCH_CURVES = {
