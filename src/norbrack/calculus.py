@@ -195,26 +195,34 @@ def bracket_of_fields(
     return directional_derivative(y, c, x(c), eps) - directional_derivative(x, c, y(c), eps)
 
 
-def _flow_leg(points: np.ndarray, velocity, step: float, ambient: str) -> np.ndarray:
+def _flow_leg(points: np.ndarray, velocity, step: float, ambient: str, start=None) -> np.ndarray:
     """One midpoint step of the flow of a field, retracted to the ambient.
 
-    velocity maps points, one curve or a stack, to the field's vectors there.
-    A single Euler step is not enough here: its O(step^2) defect per leg
-    would leave a first-order self-interaction residue in the commutator
-    product, swamping the bracket itself.
+    velocity maps points, one curve or a stack, to the field's vectors
+    there; start, where given, maps the leg's start points to the same
+    vectors from what is already known about them.  A single Euler step is
+    not enough here: its O(step^2) defect per leg would leave a first-order
+    self-interaction residue in the commutator product, swamping the
+    bracket itself.
     """
-    half = _retract(ambient, points + (0.5 * step) * velocity(points))
+    if start is None:
+        start = velocity
+    half = _retract(ambient, points + (0.5 * step) * start(points))
     k = velocity(half)
     return _retract(ambient, points + step * k)
 
 
-def _commutator_delta(points: np.ndarray, ambient: str, vx, vy, eps: float) -> np.ndarray:
+def _commutator_delta(points: np.ndarray, ambient: str, leg_x, vx, vy, eps: float) -> np.ndarray:
     """Mean of the loops x, y, -x, -y run at +eps and -eps, minus the start,
-    over eps^2 (before the projection to the tangent planes at the start)."""
+    over eps^2 (before the projection to the tangent planes at the start).
+
+    leg_x(step) returns the points after the first leg, x run for step, and
+    the start map of the second leg, y from there (see _flow_leg).
+    """
 
     def endpoint(step):
-        pts = _flow_leg(points, vx, step, ambient)
-        pts = _flow_leg(pts, vy, step, ambient)
+        pts, start = leg_x(step)
+        pts = _flow_leg(pts, vy, step, ambient, start)
         pts = _flow_leg(pts, vx, -step, ambient)
         return _flow_leg(pts, vy, -step, ambient)
 
@@ -231,12 +239,10 @@ def flow_commutator(
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
+    vx = functools.partial(x._velocity, c.ambient)
+    vy = functools.partial(y._velocity, c.ambient)
     delta = _commutator_delta(
-        c.points,
-        c.ambient,
-        functools.partial(x._velocity, c.ambient),
-        functools.partial(y._velocity, c.ambient),
-        eps,
+        c.points, c.ambient, lambda step: (_flow_leg(c.points, vx, step, c.ambient), vy), vx, vy, eps
     )
     return ImmersionTangent(_project(c.ambient, c.points, delta), c)
 
@@ -330,9 +336,12 @@ def _normals(ambient: str, points: np.ndarray) -> np.ndarray:
     return _tangents(ambient, points, n)
 
 
-def _normal_field(ambient: str, points: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """normal_field(a) on stacked curves, one coefficient column per curve."""
-    return _tangents(ambient, points, _normals(ambient, points) * coeffs[..., None])
+def _normal_field(ambient: str, points: np.ndarray, coeffs: np.ndarray, normals=None) -> np.ndarray:
+    """normal_field(a) on stacked curves, one coefficient column per curve;
+    normals, where given, are the curves' _normals, computed before."""
+    if normals is None:
+        normals = _normals(ambient, points)
+    return _tangents(ambient, points, normals * coeffs[..., None])
 
 
 def _chunks(count: int, item_bytes: int):
@@ -354,14 +363,20 @@ def _pairs_working_set_bytes(n: int, max_mode: int, dim: int) -> int:
 
     Counts the basis, its coefficient and derivative matrices, the four
     stacks of perturbed curves and normals that _NormalPairs holds whole,
-    _PAIR_BYTES for each pair, and eight chunks plus 24 curve-sized
-    temporaries (tracemalloc sees 11-23 curve sizes beyond the rest at
-    n = 1024 to 8192, where a chunk is one pair).
+    the four first-leg stacks of torsion's flow loops (8 n (2K+1) dim bytes
+    each, which a bracket run does not build), _PAIR_BYTES for each pair,
+    twelve chunks of curves and eight curve-sized temporaries.  A chunk is
+    _CHUNK_BYTES of whole curves, or one curve where a curve is larger.
+    On torsion runs tracemalloc sees 9-11 chunk sizes beyond the rest at
+    n = 64 to 512, and 14-16 curve sizes at n = 4096 and 8192, where a
+    chunk is one curve.
     """
     functions = 2 * max_mode + 1
     pairs = functions * (functions - 1) // 2
-    state = 8 * n * functions * (4 * dim + 3)
-    return state + _PAIR_BYTES * pairs + 8 * _CHUNK_BYTES + 24 * 8 * n * dim
+    curve = 8 * n * dim
+    chunk = max(1, _CHUNK_BYTES // curve) * curve
+    state = 8 * n * functions * (8 * dim + 3)
+    return state + _PAIR_BYTES * pairs + 12 * chunk + 8 * curve
 
 
 class _NormalPairs:
@@ -369,7 +384,9 @@ class _NormalPairs:
 
     Built once per curve, basis and eps: the curves c +/- eps f_k n, 2K of
     them for K basis functions, serve both directional derivatives of every
-    pair.  The methods take index arrays i, j of a chunk of pairs.
+    pair, and the first legs of the flow loops (built on the first torsion
+    chunk) serve every loop.  The methods take index arrays i, j of a chunk
+    of pairs.
     """
 
     def __init__(self, c: DiscreteImmersion, basis: list[PeriodicScalarField], eps: float):
@@ -385,18 +402,64 @@ class _NormalPairs:
         self.derivs = _finite(diff4(self.coeffs) / s[:, None])
         self.perturbed = []
         for step in (eps, -eps):
-            points = np.empty(self.coeffs.shape + c.points.shape[1:])
-            normals = np.empty_like(points)
-            for k in _chunks(self.coeffs.shape[1], c.points.nbytes):
-                direction = _tangents(c.ambient, self.points, self.normal * self.coeffs[:, k, None])
+            points, normals = self._stacks()
+            for k in _chunks(self.coeffs.shape[1], self.points.nbytes):
+                direction = _normal_field(c.ambient, self.points, self.coeffs[:, k], self.normal)
                 points[:, k] = _retract(c.ambient, self.points + step * direction)
                 normals[:, k] = _normals(c.ambient, points[:, k])
             self.perturbed.append((points, normals))
 
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Empty points and normals, one curve per basis function, shaped
+        (n, K, d) with each curve's samples contiguous, so that a chunk's
+        gather stack[:, i] copies whole curves (7-12x faster than from a
+        C-ordered stack at n = 256 and 512)."""
+        n, d = self.points.shape[0], self.points.shape[2]
+        points = np.empty((self.coeffs.shape[1], n, d)).transpose(1, 0, 2)
+        return points, np.empty_like(points)
+
+    @functools.cached_property
+    def _first_legs(self) -> tuple[dict, np.ndarray]:
+        """The first leg, x = f_k n from c, of the flow loops of every basis
+        function k: for each step +eps and -eps, the points where it ends and
+        their normals, one curve per function; and which functions' legs
+        raised.
+
+        The loops of the pairs (i, j) for all j start with this leg of f_i,
+        so they share it.  A chunk of functions that raises runs again one
+        function at a time, so that only the pairs of the functions whose
+        leg raised fall back.
+        """
+        legs = {step: self._stacks() for step in (self.eps, -self.eps)}
+        raised = np.zeros(self.coeffs.shape[1], dtype=bool)
+
+        def build(k: slice) -> None:
+            a = self.coeffs[:, k]
+            for step, (points, normals) in legs.items():
+                points[:, k] = _flow_leg(
+                    self.points,
+                    lambda pts: _normal_field(self.ambient, pts, a),
+                    step,
+                    self.ambient,
+                    lambda pts: _normal_field(self.ambient, pts, a, self.normal),
+                )
+                normals[:, k] = _normals(self.ambient, points[:, k])
+
+        for k in _chunks(self.coeffs.shape[1], self.points.nbytes):
+            try:
+                build(k)
+            except (NorbrackError, ValueError):
+                for f in range(k.start, k.stop):
+                    try:
+                        build(slice(f, f + 1))
+                    except (NorbrackError, ValueError):
+                        raised[f] = True
+        return legs, raised
+
     def _derivative(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """directional_derivative(f_j n, c, f_i n (c), eps) for each pair."""
         plus, minus = (
-            _tangents(self.ambient, points[:, i], normals[:, i] * self.coeffs[:, j, None])
+            _normal_field(self.ambient, points[:, i], self.coeffs[:, j], normals[:, i])
             for points, normals in self.perturbed
         )
         diff = (plus - minus) / (2.0 * self.eps)
@@ -413,11 +476,21 @@ class _NormalPairs:
         return _tangents(self.ambient, self.points, self.tangent * coeff[..., None])
 
     def _flow_commutator(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """flow_commutator of f_i n and f_j n, the flow legs run as stacks."""
+        """flow_commutator of f_i n and f_j n: each loop starts from the
+        shared first leg of f_i, and its other legs run as stacks."""
+        legs, raised = self._first_legs
+        if raised[i].any():
+            raise ValueError("the first flow leg of a pair in this chunk raised")
         a, b = self.coeffs[:, i], self.coeffs[:, j]
+
+        def leg_x(step):
+            points, normals = legs[step]
+            return points[:, i], lambda pts: _normal_field(self.ambient, pts, b, normals[:, i])
+
         delta = _commutator_delta(
             self.points,
             self.ambient,
+            leg_x,
             lambda points: _normal_field(self.ambient, points, a),
             lambda points: _normal_field(self.ambient, points, b),
             self.eps,

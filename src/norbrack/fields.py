@@ -18,11 +18,12 @@ from .errors import BasisTooLarge, GridMismatch
 TWO_PI = 2.0 * np.pi
 
 # Stacked kernels (the batched pair checks, the oneform suite's random forms)
-# work on chunks at or below this size, 3 curves of n = 512 points on the
-# sphere; only state shared by the whole stack is held whole.  On the calc
-# benchmark (5 runs a size on a 2-core VM), 72 KiB chunks ran 14% faster
-# (wall_ref 110.2 -> 95.0) and raised peak RSS 1.0% (36.72 -> 37.07 MiB).
-_CHUNK_BYTES = 36 * 2**10
+# work on chunks at or below this size, 6 curves of n = 512 points on the
+# sphere; only state shared by the whole stack is held whole.  On a 2-core
+# VM, 72 KiB ran the oneform benchmark 16% faster than 36 KiB (wall_ref
+# 14.8 -> 12.4) for 0.7% more peak RSS; on the calc benchmark 144 KiB ran
+# slower than 72 KiB and raised peak RSS 2% more (37.7 -> 38.5 MiB).
+_CHUNK_BYTES = 72 * 2**10
 
 
 def _validate_grid_n(n: int) -> None:

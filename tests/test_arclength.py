@@ -239,8 +239,10 @@ def test_trajectory_rejects_sphere_curves():
 
 
 # The flows run on point arrays.  The references below are the container
-# code they replace: a curve built at every RK4 stage, the field called on
-# it, and the 3-pass projection written out with np.sum.
+# code they replace: a curve built at every RK4 stage, the field's tangent
+# written out on it from frame(c) and the tangent algebra (not by calling the
+# field, which runs the same rule as the flow), and the 3-pass projection
+# written out with np.sum.
 
 
 def reference_projection(c, h, passes=3):
@@ -256,10 +258,12 @@ def reference_projection(c, h, passes=3):
     return ImmersionTangent(vectors, c)
 
 
-def reference_flow(c0, field, t, steps, project):
+def reference_flow(c0, tangent, t, steps, project):
+    """RK4 flow of the field whose value on a curve c is tangent(c)."""
+
     def velocity(pts):
         c = DiscreteImmersion(pts, c0.ambient)
-        h = field(c)
+        h = tangent(c)
         return (reference_projection(c, h) if project else h).vectors
 
     dt = t / steps
@@ -273,12 +277,19 @@ def reference_flow(c0, field, t, steps, project):
     return DiscreteImmersion(pts, c0.ambient)
 
 
+def normal_times(a):
+    """The container formula of normal_field(a): c -> frame(c)[1] * a."""
+    return lambda c: frame(c)[1] * a
+
+
 def flow_fields(n):
+    """Each flow field with the container formula of its tangent."""
+    w = np.array([0.3, -0.2])
     return {
-        "cos*n": normal_field(cos_field(1, n)),
-        "cos3*n": normal_field(cos_field(3, n)),
-        "constant": constant_field((0.3, -0.2)),
-        "composite": normal_field() + 0.3 * tangent_field(),
+        "cos*n": (normal_field(cos_field(1, n)), normal_times(cos_field(1, n))),
+        "cos3*n": (normal_field(cos_field(3, n)), normal_times(cos_field(3, n))),
+        "constant": (constant_field(w), lambda c: ImmersionTangent(np.tile(w, (c.grid_n, 1)), c)),
+        "composite": (normal_field() + 0.3 * tangent_field(), lambda c: frame(c)[1] + frame(c)[0] * 0.3),
     }
 
 
@@ -293,12 +304,13 @@ FLOW_CURVES = {
 @pytest.mark.parametrize("curve", sorted(FLOW_CURVES))
 def test_array_flows_are_bitwise_equal_to_the_container_loop(curve, n):
     c = FLOW_CURVES[curve](n)
-    for name, field in flow_fields(n).items():
-        h = field(c)
+    for name, (field, tangent) in flow_fields(n).items():
+        h = tangent(c)
+        assert np.array_equal(field(c).vectors, h.vectors), name
         assert np.array_equal(project_to_arc(c, h).vectors, reference_projection(c, h).vectors), name
         for flow, project in ((flow_arc, True), (flow_field, False)):
             got = flow(c, field, 0.3, steps=10)
-            want = reference_flow(c, field, 0.3, 10, project)
+            want = reference_flow(c, tangent, 0.3, 10, project)
             assert np.array_equal(got.points, want.points), (name, flow.__name__)
 
 
@@ -316,12 +328,11 @@ def test_array_flow_errors_match_the_container_loop(project):
     # stage at the centre, where the speed falls below the floor
     err = raised(flow, c, normal_field(), 1.0, 1)
     assert err[0] is ImmersionDegenerate
-    assert err == raised(reference_flow, c, normal_field(), 1.0, 1, project)
+    assert err == raised(reference_flow, c, lambda c: frame(c)[1], 1.0, 1, project)
     # a coefficient sampled on another grid
-    other = normal_field(cos_field(1, 128))
-    err = raised(flow, c, other, 0.1, 2)
+    err = raised(flow, c, normal_field(cos_field(1, 128)), 0.1, 2)
     assert err == (GridMismatch, "scalar field lives on a different grid")
-    assert err == raised(reference_flow, c, other, 0.1, 2, project)
+    assert err == raised(reference_flow, c, normal_times(cos_field(1, 128)), 0.1, 2, project)
 
 
 def test_array_flow_checks_speeds_in_the_container_order():
@@ -329,13 +340,13 @@ def test_array_flow_checks_speeds_in_the_container_order():
     # only the projection's speed check fires, with PeriodicScalarField's
     # message; the unprojected flow has no such check and does not move
     c = circle(64, 1e300)
-    field = normal_field(cos_field(1, 64))
+    field, tangent = normal_field(cos_field(1, 64)), normal_times(cos_field(1, 64))
     with np.errstate(over="ignore"):
         err = raised(flow_arc, c, field, 0.1, 1)
         assert err == (ValueError, "samples must be finite")
-        assert err == raised(reference_flow, c, field, 0.1, 1, True)
+        assert err == raised(reference_flow, c, tangent, 0.1, 1, True)
         got = flow_field(c, field, 0.1, 1)
-        assert np.array_equal(got.points, reference_flow(c, field, 0.1, 1, False).points)
+        assert np.array_equal(got.points, reference_flow(c, tangent, 0.1, 1, False).points)
 
 
 def test_constant_fields_compute_no_frame():

@@ -293,9 +293,6 @@ BATCH_CURVES = {
 @pytest.mark.parametrize("curve", list(BATCH_CURVES))
 def test_batched_pairs_are_bitwise_equal_to_per_pair_loop(curve, modes, count, monkeypatch):
     c = BATCH_CURVES[curve]()
-    # chunks of 6 pairs: 21 pairs end in a partial chunk, and the 9 basis
-    # functions of modes = 4 are perturbed in two chunks
-    monkeypatch.setattr(calculus, "_CHUNK_BYTES", 6 * c.points.nbytes)
     basis = trig_basis(64, modes)
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     assert len(pairs) == count
@@ -308,5 +305,10 @@ def test_batched_pairs_are_bitwise_equal_to_per_pair_loop(curve, modes, count, m
             ((numeric - bracket_closed_form(c, a, b)).max_norm(), pointwise_inner(numeric, nrm).max_abs())
         )
         torsions.append(torsion_defect(c, normal_field(a), normal_field(b), 1e-4))
-    assert calculus._pairwise(calculus._NormalPairs.bracket, c, basis, pairs, 1e-5) == brackets
-    assert calculus._pairwise(calculus._NormalPairs.torsion, c, basis, pairs, 1e-4) == torsions
+    # chunks of 6 curves: 21 pairs end in a partial chunk, and the 9 basis
+    # functions of modes = 4 are perturbed, and their first flow legs built,
+    # in two chunks; chunks of 2 curves split them over four or five
+    for curves_a_chunk in (6, 2):
+        monkeypatch.setattr(calculus, "_CHUNK_BYTES", curves_a_chunk * c.points.nbytes)
+        assert calculus._pairwise(calculus._NormalPairs.bracket, c, basis, pairs, 1e-5) == brackets
+        assert calculus._pairwise(calculus._NormalPairs.torsion, c, basis, pairs, 1e-4) == torsions

@@ -518,6 +518,39 @@ def test_pinched_pairs_fall_back_to_per_pair_functions(suite, floor, monkeypatch
         assert len(errored) < batched.count(None) < 36
 
 
+# At torsion's eps = 1e-4 on the same ellipse, the first flow leg of the
+# constant function slows the curve to 0.699783943341 and its perturbed
+# curves to 0.69978394353 at the least; a floor between the two pinches that
+# leg and no perturbed curve.  The later legs pinch 10 more pairs.
+def test_pinched_first_legs_fall_back_to_per_pair_functions(monkeypatch):
+    cfg = SuiteConfig(suite="torsion", grid_n=64, family="ellipse:1.5,0.7")
+    c = make_curve(cfg)
+    monkeypatch.setattr(curves, "SPEED_FLOOR", 0.6997839434)
+    monkeypatch.setattr(calculus, "_CHUNK_BYTES", 2 * c.points.nbytes)
+    basis = trig_basis(64, 4)
+    raised = calculus._NormalPairs(c, basis, 1e-4)._first_legs[1]
+    assert raised.tolist() == [True] + [False] * 8
+    records = run_suite(cfg)
+    assert [(rec.case, rec.value) for rec in records] == per_pair_records("torsion", c, 4, 1e-4)
+    errored = [rec.case for rec in records if "ImmersionDegenerate" in rec.case]
+    assert all(any(case.startswith(f"1,{name} ") for case in errored) for name in ("cos1", "sin2", "sin4"))
+    pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+    batched = calculus._pairwise(calculus._NormalPairs.torsion, c, basis, pairs, 1e-4)
+    assert len(errored) <= batched.count(None) < 36
+
+
+def test_bracket_runs_build_no_first_legs(monkeypatch):
+    cfg = SuiteConfig(suite="bracket", grid_n=64)
+    want = [(rec.case, rec.value) for rec in run_suite(cfg)]
+
+    def never(*args, **kwargs):
+        raise AssertionError("a flow leg ran")
+
+    # an AssertionError is not a check error: it would end the run
+    monkeypatch.setattr(calculus, "_flow_leg", never)
+    assert [(rec.case, rec.value) for rec in run_suite(cfg)] == want
+
+
 def oneform_reference(n, cases, seed):
     """(case, metric, value) of each random form's record, one form at a
     time (sequential draws, decompose_oneform, reconstruct and _rel_l2),
