@@ -21,7 +21,6 @@ from .curves import (
     ImmersionTangent,
     _check_attached,
     _dot,
-    _tangent_vectors,
     frame,
     save_curve_csv,
     speed,
@@ -77,14 +76,11 @@ def _arc_projection(s: np.ndarray, v: np.ndarray, vectors: np.ndarray, passes: i
     return vectors
 
 
-def _checked_projection(
-    ambient: str, points: np.ndarray, geometry, vectors: np.ndarray, passes: int = 3
-) -> np.ndarray:
-    """project_to_arc on a curve as a CurveField rule sees it: the checks
-    of speed(c) and frame(c), then _arc_projection of the vectors."""
+def _checked_projection(geometry, vectors: np.ndarray, passes: int = 3) -> np.ndarray:
+    """project_to_arc on a curve as a CurveField rule sees it: the check of
+    speed(c), then _arc_projection of the vectors along the unit tangent."""
     _, s, v, _ = geometry()
-    _check_samples(s)  # speed(c)
-    v = _tangent_vectors(ambient, points, v)  # frame(c); n is finite where v is
+    _check_samples(s)  # speed(c); v, and so frame(c), is finite where s is
     return _arc_projection(s, v, vectors, passes)
 
 
@@ -103,7 +99,7 @@ def project_to_arc(
     arc_defect norm is 2.1e-8 after 3 passes and 3.3e-14 after 6.
     """
     _check_attached(c, h)
-    vectors = _checked_projection(c.ambient, c.points, lambda: c._geometry, h.vectors, passes)
+    vectors = _checked_projection(lambda: c._geometry, h.vectors, passes)
     return ImmersionTangent(vectors, c)
 
 
@@ -112,7 +108,7 @@ def _projected(field: CurveField) -> CurveField:
     rule, so a flow of it builds no container."""
 
     def rule(ambient: str, points: np.ndarray, geometry) -> np.ndarray:
-        return _checked_projection(ambient, points, geometry, field._vectors(ambient, points, geometry))
+        return _checked_projection(geometry, field._vectors(ambient, points, geometry))
 
     return CurveField(rule, f"P[{field.name}]")
 

@@ -75,7 +75,8 @@ class CurveField:
     the curve checks; geometry() returns curves._frames of the points,
     computed only when called, so a field that needs no frame (a constant
     field) computes none.  Calling the field on a curve and each stage of a
-    flow (_velocity) run this rule.
+    flow (_velocity) run this rule; the wrap that makes its vectors a
+    tangent (ImmersionTangent, or _vectors on arrays) projects them, once.
 
     Fields support addition and scaling, so composites like v + 0.3 * (a n)
     can be built from the named constructors below.
@@ -121,13 +122,13 @@ class CurveField:
 
 def _frame_field(index: int, coeff, name: str) -> CurveField:
     """The field c -> coeff * frame(c)[index], the bare frame vector when
-    coeff is None, with ImmersionTangent.__mul__'s grid check."""
+    coeff is None, with ImmersionTangent.__mul__'s grid check: the frame
+    vector as _frames computed it, scaled, for the field's wrap to project."""
 
     def rule(ambient: str, points: np.ndarray, geometry) -> np.ndarray:
-        # frame(c) checks and projects both v and n
-        vec = [_tangent_vectors(ambient, points, x) for x in geometry()[2:]][index]
+        vec = geometry()[2 + index]
         if coeff is None:
-            return geometry()[2 + index]  # projected once, by the field's wrap
+            return vec
         if isinstance(coeff, PeriodicScalarField):
             if coeff.grid_n != points.shape[0]:
                 raise GridMismatch("scalar field lives on a different grid")
@@ -184,8 +185,7 @@ def directional_derivative(
     _check_step(c, eps)
     plus = field(_perturbed(c, direction.vectors, eps))
     minus = field(_perturbed(c, direction.vectors, -eps))
-    diff = (plus.vectors - minus.vectors) / (2.0 * eps)
-    return ImmersionTangent(_project(c.ambient, c.points, diff), c)
+    return ImmersionTangent((plus.vectors - minus.vectors) / (2.0 * eps), c)
 
 
 def bracket_of_fields(
@@ -244,7 +244,7 @@ def flow_commutator(
     delta = _commutator_delta(
         c.points, c.ambient, lambda step: (_flow_leg(c.points, vx, step, c.ambient), vy), vx, vy, eps
     )
-    return ImmersionTangent(_project(c.ambient, c.points, delta), c)
+    return ImmersionTangent(delta, c)
 
 
 def torsion_defect(
@@ -288,9 +288,8 @@ def bracket_closed_form(
     """
     if a.grid_n != c.grid_n or b.grid_n != c.grid_n:
         raise GridMismatch("coefficient fields and curve use different grids")
-    v, _ = frame(c)
     coeff = a * arclen_deriv(c, b) - b * arclen_deriv(c, a)
-    return v * coeff
+    return ImmersionTangent(c._geometry[2] * coeff.samples[:, None], c)
 
 
 def bracket_numeric(
@@ -305,11 +304,12 @@ def bracket_numeric(
 
 # Batched pair checks.  The bracket and torsion suites evaluate every pair
 # (f_i n, f_j n) of a basis.  Below, the pairs run as stacks of curves shaped
-# (n, m, d), with the per-pair path's expressions, projections and checks in
-# its order, so every value is bitwise equal to bracket_numeric,
-# bracket_closed_form and torsion_defect.  A check that raises only sends the
-# affected pairs back to those per-pair functions, which then produce the
-# error themselves.
+# (n, m, d), with the per-pair path's expressions and checks in its order, the
+# frame vectors as _frames computes them, and one projection, _tangents, where
+# the per-pair path wraps a value in an ImmersionTangent; so every value is
+# bitwise equal to bracket_numeric, bracket_closed_form and torsion_defect.  A
+# check that raises only sends the affected pairs back to those per-pair
+# functions, which then produce the error themselves.
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -325,15 +325,14 @@ def _tangents(ambient: str, points: np.ndarray, vectors: np.ndarray) -> np.ndarr
 
 
 def _normals(ambient: str, points: np.ndarray) -> np.ndarray:
-    """frame(c)[1] of stacked curves, after the checks that building each
-    curve and taking its speed and frame run."""
+    """The unit normals of stacked curves as _frames computes them, after
+    the checks that building each curve and taking its speed run."""
     _finite(points)
     if ambient != PLANE:
         _check_unit_norm(points)
-    s, v, n = _frames(ambient, points)[1:]
-    _finite(s)
-    _finite(v)
-    return _tangents(ambient, points, n)
+    _, s, _, n = _frames(ambient, points)
+    _finite(s)  # v, and so n, is finite where s is
+    return n
 
 
 def _normal_field(ambient: str, points: np.ndarray, coeffs: np.ndarray, normals=None) -> np.ndarray:
@@ -357,14 +356,14 @@ def _chunks(count: int, item_bytes: int):
 _PAIR_BYTES = 256
 
 
-def _pairs_working_set_bytes(n: int, max_mode: int, dim: int) -> int:
-    """About the bytes a bracket or torsion run holds at its peak, for the
-    trig basis up to max_mode on n nodes in dim ambient coordinates.
+def _pairs_working_set_bytes(n: int, max_mode: int, dim: int, suite: str = "torsion") -> int:
+    """About the bytes a bracket or torsion run (suite) holds at its peak,
+    for the trig basis up to max_mode on n nodes in dim ambient coordinates.
 
     Counts the basis, its coefficient and derivative matrices, the four
     stacks of perturbed curves and normals that _NormalPairs holds whole,
-    the four first-leg stacks of torsion's flow loops (8 n (2K+1) dim bytes
-    each, which a bracket run does not build), _PAIR_BYTES for each pair,
+    torsion's four first-leg stacks (8 n (2K+1) dim bytes each, which a
+    bracket run does not build), _PAIR_BYTES for each pair,
     twelve chunks of curves and eight curve-sized temporaries.  A chunk is
     _CHUNK_BYTES of whole curves, or one curve where a curve is larger.
     On torsion runs tracemalloc sees 9-11 chunk sizes beyond the rest at
@@ -375,7 +374,7 @@ def _pairs_working_set_bytes(n: int, max_mode: int, dim: int) -> int:
     pairs = functions * (functions - 1) // 2
     curve = 8 * n * dim
     chunk = max(1, _CHUNK_BYTES // curve) * curve
-    state = 8 * n * functions * (8 * dim + 3)
+    state = 8 * n * functions * ((8 if suite == "torsion" else 4) * dim + 3)
     return state + _PAIR_BYTES * pairs + 12 * chunk + 8 * curve
 
 
@@ -395,8 +394,9 @@ class _NormalPairs:
         self.eps = eps
         self.points = c.points[:, None]
         _, s, v, n = c._geometry
-        self.tangent = _tangents(c.ambient, c.points, v)[:, None]
-        self.normal = _tangents(c.ambient, c.points, n)[:, None]
+        self.tangent = v[:, None]
+        self.normal = n[:, None]
+        self.unit_normal = _tangents(c.ambient, c.points, n)[:, None]  # frame(c)[1], for the leak
         self.coeffs = np.column_stack([f.samples for f in basis])
         # arclen_deriv of every basis function, from one diff4
         self.derivs = _finite(diff4(self.coeffs) / s[:, None])
@@ -462,8 +462,7 @@ class _NormalPairs:
             _normal_field(self.ambient, points[:, i], self.coeffs[:, j], normals[:, i])
             for points, normals in self.perturbed
         )
-        diff = (plus - minus) / (2.0 * self.eps)
-        return _tangents(self.ambient, self.points, _project(self.ambient, self.points, diff))
+        return _tangents(self.ambient, self.points, (plus - minus) / (2.0 * self.eps))
 
     def _numeric(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """bracket_numeric: D_X Y - D_Y X for X = f_i n, Y = f_j n."""
@@ -495,14 +494,14 @@ class _NormalPairs:
             lambda points: _normal_field(self.ambient, points, b),
             self.eps,
         )
-        return _tangents(self.ambient, self.points, _project(self.ambient, self.points, delta))
+        return _tangents(self.ambient, self.points, delta)
 
     def bracket(self, i: np.ndarray, j: np.ndarray) -> list[tuple[float, float]]:
         """Per pair: max norm of numeric minus closed-form bracket, and the
         numeric bracket's largest normal component."""
         numeric = self._numeric(i, j)
         diff = _tangents(self.ambient, self.points, numeric - self._closed_form(i, j))
-        leak = np.abs(_finite(_dot(numeric, self.normal))).max(axis=0)
+        leak = np.abs(_finite(_dot(numeric, self.unit_normal))).max(axis=0)
         return list(zip(_norm(diff).max(axis=0).tolist(), leak.tolist()))
 
     def torsion(self, i: np.ndarray, j: np.ndarray) -> list[float]:

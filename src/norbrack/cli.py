@@ -167,7 +167,7 @@ def _working_set(cfg: SuiteConfig) -> tuple[int, str]:
         return spanning.working_set_bytes(n, k), f", K={k}"
     if cfg.suite in ("bracket", "torsion"):
         k = _modes(cfg)
-        return calculus._pairs_working_set_bytes(n, k, dim), f", K={k}"
+        return calculus._pairs_working_set_bytes(n, k, dim, cfg.suite), f", K={k}"
     if cfg.suite == "oneform":
         return 8 * n * 48 + 8 * _CHUNK_BYTES + 256 * cfg.cases, f", cases={cfg.cases}"
     return 8 * n * dim * 32, ""

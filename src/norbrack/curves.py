@@ -183,7 +183,8 @@ class ImmersionTangent:
 
     On the sphere the vectors are projected onto the tangent plane of the
     sphere at their base points during construction, so the tangency
-    invariant holds by construction.
+    invariant holds by construction: the one projection of a field's value,
+    whose rule hands over frame vectors as _frames computed them.
     """
 
     vectors: np.ndarray

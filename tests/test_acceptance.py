@@ -15,6 +15,7 @@ from norbrack.arclength import flow_arc, flow_field, frobenius_defect, leaf_inva
 from norbrack.calculus import (
     bracket_closed_form,
     bracket_numeric,
+    bracket_of_fields,
     directional_derivative,
     normal_field,
     tangent_field,
@@ -260,3 +261,42 @@ def test_criterion_8_convergence_order():
         ok,
         f"error drop 128 -> 256: bracket {bracket_ratio:.1f}x, variation {variation_ratio:.1f}x (need >= 8x)",
     )
+
+
+def vertical_bracket_drops(leak=0.0):
+    """How much the bracket of tangent_field(cos) + leak * normal_field(sin 2θ)
+    and tangent_field(sin 2θ) falls from n = 128 to n = 256, on the 1.5 x 0.7
+    ellipse and latitude 0.6, and its size at n = 256."""
+    out = {}
+    curves = {"ellipse": lambda n: ellipse(n, 1.5, 0.7), "latitude": lambda n: latitude_circle(n, 0.6)}
+    for name, make in curves.items():
+        sizes = []
+        for n in (128, 256):
+            theta = theta_grid(n)
+            a, b = PeriodicScalarField(np.cos(theta)), PeriodicScalarField(np.sin(2 * theta))
+            x = tangent_field(a) + leak * normal_field(b) if leak else tangent_field(a)
+            sizes.append(bracket_of_fields(x, tangent_field(b), make(n), EPS_BRACKET).max_norm())
+        out[name] = (sizes[0] / sizes[1], sizes[1])
+    return out
+
+
+def test_criterion_9_vertical_bundle_is_integrable():
+    # [a v, b v] = 0: the variation of the unit tangent is normal, so
+    # D_{a v}(b v) = a b κ n is symmetric in a and b; what is measured is
+    # stencil error, which falls fourth order
+    drops = vertical_bracket_drops()
+    ok = all(ratio >= 8.0 for ratio, _ in drops.values())
+    report(
+        9,
+        ok,
+        "vertical bracket drop 128 -> 256: "
+        + ", ".join(f"{name} {ratio:.1f}x (to {size:.1e})" for name, (ratio, size) in drops.items())
+        + " (need >= 8x)",
+    )
+
+
+def test_criterion_9_fails_a_field_with_a_normal_leak():
+    # a v + 0.01 b n is not vertical: its bracket with b v keeps a normal
+    # part of about 1e-2 at every grid
+    drops = vertical_bracket_drops(leak=0.01)
+    assert all(ratio < 8.0 and size > 1e-3 for ratio, size in drops.values()), drops

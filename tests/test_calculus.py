@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norbrack import calculus
+from norbrack import calculus, curves
 from norbrack.arclength import _projected, project_to_arc
 from norbrack.calculus import (
     bracket_closed_form,
@@ -23,6 +23,7 @@ from norbrack.curves import (
     SPHERE,
     DiscreteImmersion,
     ImmersionTangent,
+    _frames,
     ellipse,
     frame,
     great_circle,
@@ -258,18 +259,31 @@ def test_fields_are_bitwise_their_container_formulas(make_curve):
     a = trig(np.cos, 1, n) + trig(np.sin, 2, n) * 0.5
     m = trig(np.sin, 3, n)
     w = np.linspace(0.3, -0.7, c.ambient_dim)
-    cases = [
-        (normal_field(), frame(c)[1]),
-        (tangent_field(), frame(c)[0]),
-        (normal_field(a), nn * a),
-        (tangent_field(m), v * m),
-        (normal_field(2.5), nn * 2.5),
-        (2.0 * normal_field(a) - tangent_field(), nn * a * 2.0 - v),
-        (-normal_field(a), (nn * a) * -1.0),
-        (constant_field(w), ImmersionTangent(np.tile(w, (n, 1)), c)),
-    ]
-    if c.ambient == PLANE:
+    cases = [(constant_field(w), ImmersionTangent(np.tile(w, (n, 1)), c))]
+    if c.ambient == SPHERE:
+        # one projection per value: the frame vectors as curves._frames
+        # computes them, scaled, then projected by a single tangent wrap;
+        # composites combine such tangents with the containers' arithmetic
+        _, _, v_raw, n_raw = _frames(c.ambient, c.points)
+        a_n = ImmersionTangent(n_raw * a.samples[:, None], c)
         cases += [
+            (normal_field(), ImmersionTangent(n_raw, c)),
+            (tangent_field(), ImmersionTangent(v_raw, c)),
+            (normal_field(a), a_n),
+            (tangent_field(m), ImmersionTangent(v_raw * m.samples[:, None], c)),
+            (normal_field(2.5), ImmersionTangent(n_raw * 2.5, c)),
+            (2.0 * normal_field(a) - tangent_field(), a_n * 2.0 - ImmersionTangent(v_raw, c)),
+            (-normal_field(a), a_n * -1.0),
+        ]
+    else:
+        cases += [
+            (normal_field(), frame(c)[1]),
+            (tangent_field(), frame(c)[0]),
+            (normal_field(a), nn * a),
+            (tangent_field(m), v * m),
+            (normal_field(2.5), nn * 2.5),
+            (2.0 * normal_field(a) - tangent_field(), nn * a * 2.0 - v),
+            (-normal_field(a), (nn * a) * -1.0),
             (_projected(normal_field(a)), project_to_arc(c, nn * a)),
             (_projected(normal_field() + 0.3 * tangent_field()), project_to_arc(c, nn + v * 0.3)),
         ]
@@ -277,6 +291,76 @@ def test_fields_are_bitwise_their_container_formulas(make_curve):
         got = field(c)
         assert got.base is c, field.name
         assert np.array_equal(got.vectors, want.vectors), field.name
+
+
+def test_one_sphere_field_value_makes_one_projection(monkeypatch):
+    # the field's wrap projects its value; the rule hands it the frame
+    # vector as _frames computed it
+    c = latitude_circle(64, 0.6)
+    project = curves._project
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return project(*args)
+
+    for module in (curves, calculus):
+        monkeypatch.setattr(module, "_project", counted)
+    for field in (normal_field(trig(np.cos, 1, 64)), normal_field()):
+        for evaluate in (lambda: field(c), lambda: field._velocity(c.ambient, c.points)):
+            calls.clear()
+            evaluate()
+            assert len(calls) == 1, field.name
+
+
+# Sphere values recorded with repr before each field value was projected
+# once instead of two or three times.  The repeated projections move each
+# field value by a few ulps of its size (here |f n| <= 1).  A numeric
+# derivative divides the difference of two such values by 2 eps, and the flow
+# commutator divides the sum of two loop endpoints, each four legs of eps
+# times such a value, by 2 eps^2.  So each record moves by a small multiple
+# of eps_machine / eps; the stated bound is 4 eps_machine / eps.  Over the
+# calc benchmark configs at seeds 601-610 and 7919 the largest move is 0.21
+# of it (torsion) and 0.12 of it (bracket).
+SPHERE_RECORDS = {
+    "latitude": {
+        "bracket_numeric": 3.332885619134164,
+        "bracket_max_diff": 0.00029363060786291584,
+        "flow_commutator": 3.332885600173105,
+        "torsion_defect": 2.1747616935303673e-07,
+        "variation_max_diff": 4.9329902156003413e-05,
+    },
+    "wobbly": {
+        "bracket_numeric": 2.4925408182587376,
+        "bracket_max_diff": 0.00019559373040386622,
+        "flow_commutator": 2.4925408035089855,
+        "torsion_defect": 7.849789974233096e-08,
+        "variation_max_diff": 7.67027272881197e-05,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "curve, make_curve",
+    [("latitude", lambda: latitude_circle(64, 0.6)), ("wobbly", lambda: wobbly_sphere_curve(64))],
+)
+def test_sphere_records_move_within_rounding_over_eps(curve, make_curve):
+    c = make_curve()
+    a, b = trig(np.cos, 1, 64), trig(np.sin, 2, 64)
+    numeric = bracket_numeric(c, a, b, 1e-5)
+    h = frame(c)[1] * a
+    got = {
+        "bracket_numeric": (numeric.max_norm(), 1e-5),
+        "bracket_max_diff": ((numeric - bracket_closed_form(c, a, b)).max_norm(), 1e-5),
+        "flow_commutator": (flow_commutator(c, normal_field(a), normal_field(b), 1e-4).max_norm(), 1e-4),
+        "torsion_defect": (torsion_defect(c, normal_field(a), normal_field(b), 1e-4), 1e-4),
+        "variation_max_diff": (
+            (variation_of_normal(c, h) - directional_derivative(normal_field(), c, h, 1e-4)).max_norm(),
+            1e-4,
+        ),
+    }
+    for name, (value, eps) in got.items():
+        assert abs(value - SPHERE_RECORDS[curve][name]) <= 4 * np.finfo(float).eps / eps, name
 
 
 BATCH_CURVES = {

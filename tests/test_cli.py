@@ -12,7 +12,7 @@ import pytest
 
 from conftest import band_limited
 import norbrack.curves as curves
-from norbrack import calculus, oneforms
+from norbrack import calculus, oneforms, spanning
 from norbrack.cli import (
     _DEFAULT_EPS,
     SUITES,
@@ -265,6 +265,32 @@ def test_pair_working_set_estimate_bounds_the_traced_peak(suite, ambient, grid_n
         tracemalloc.stop()
     need = calculus._pairs_working_set_bytes(grid_n, modes, 2 if ambient == PLANE else 3)
     assert need / 2 < peak <= need
+
+
+# a bracket run builds none of torsion's first-leg stacks; on the sphere at
+# n = 1024, K = 32 tracemalloc reads 0.94 of the bracket estimate
+@pytest.mark.parametrize("ambient, grid_n, modes", [(SPHERE, 1024, 32), (PLANE, 8192, 2)])
+def test_bracket_working_set_estimate_bounds_the_traced_peak(ambient, grid_n, modes):
+    cfg = SuiteConfig(suite="bracket", grid_n=grid_n, modes=modes, ambient=ambient)
+    tracemalloc.start()
+    try:
+        run_suite(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = calculus._pairs_working_set_bytes(grid_n, modes, 2 if ambient == PLANE else 3, "bracket")
+    assert need / 2 < peak <= need
+
+
+def test_bracket_is_not_charged_for_torsion_first_legs():
+    # about 741 MiB for bracket and 1191 MiB for torsion: the bracket run was
+    # refused while both suites were charged torsion's first-leg stacks
+    fields = {"grid_n": 4096, "modes": 600, "ambient": SPHERE}
+    assert calculus._pairs_working_set_bytes(4096, 600, 3, "torsion") > spanning.WORKING_SET_BUDGET
+    cfg = SuiteConfig(suite="bracket", **fields)
+    assert validate_config(cfg) is cfg
+    with pytest.raises(ConfigInvalid, match="torsion at grid_n=4096, K=600 needs about 1191 MiB"):
+        validate_config(SuiteConfig(suite="torsion", **fields))
 
 
 @pytest.mark.parametrize("suite", ["oneform", "arc", "variation"])
