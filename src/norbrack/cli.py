@@ -354,25 +354,26 @@ def _suite_spanning(cfg: SuiteConfig):
     yield f"K={k}", "normal_rank_deficit", 0.0, lambda: c.grid_n - report.normal_rank
 
 
-def _banded_tables(n: int, max_mode: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """cos(k theta) and sin(k theta) for k = 1..max_mode, one row per mode."""
-    k_theta = np.arange(1, max_mode + 1)[:, None] * theta_grid(n)
-    return np.cos(k_theta), np.sin(k_theta)
+def _banded_tables(n: int) -> np.ndarray:
+    """The (21, n) table of a random form's basis: 1 on row 0, then
+    cos(k theta) on rows 1::2 and sin(k theta) on rows 2::2, k = 1..10."""
+    k_theta = np.arange(1, 11)[:, None] * theta_grid(n)
+    table = np.ones((21, n))
+    table[1::2] = np.cos(k_theta)
+    table[2::2] = np.sin(k_theta)
+    return table
 
 
-def _banded_rows(draws: np.ndarray, cos_k: np.ndarray, sin_k: np.ndarray) -> np.ndarray:
-    """One random form per row of draws: the constant draws[:, 0] plus the
-    cos/sin coefficient pairs that follow it on the rows of the tables,
-    added left to right."""
-    rows = np.repeat(draws[:, :1], cos_k.shape[1], axis=1)
-    for cos_row, sin_row, ck, sk in zip(cos_k, sin_k, draws[:, 1::2].T, draws[:, 2::2].T):
-        rows += ck[:, None] * cos_row
-        rows += sk[:, None] * sin_row
-    return rows
+def _banded_rows(draws: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """One random form per row of draws: its coefficients times the rows of
+    the table, added left to right.  einsum without optimize adds the
+    products in that order and without FMA; BLAS (@, dot) reorders them."""
+    return np.einsum("mk,kn->mn", draws, table, optimize=False)
 
 
 def _rel_l2(err: np.ndarray, ref: np.ndarray) -> float:
-    return float(np.linalg.norm(err) / max(np.linalg.norm(ref), 1.0))
+    # np.linalg.norm's own path for a contiguous 1-D array, without its wrapper
+    return float(np.sqrt(err.dot(err)) / max(np.sqrt(ref.dot(ref)), 1.0))
 
 
 def _shared(compute):
@@ -398,7 +399,7 @@ def _shared(compute):
 def _suite_oneform(cfg: SuiteConfig):
     n = cfg.grid_n
     rng = np.random.default_rng(cfg.seed)
-    tables = _banded_tables(n)
+    table = _banded_tables(n)
     term_counts = []
 
     def chunk_errors(rows):
@@ -406,14 +407,14 @@ def _suite_oneform(cfg: SuiteConfig):
         # decompose_oneform and reconstruct give them
         recon, counts = oneforms._reconstruct_split(*oneforms._hodge_split(rows))
         term_counts.extend(counts.tolist())
-        return [_rel_l2(got - want, want) for got, want in zip(recon, rows)]
+        return [_rel_l2(err, want) for err, want in zip(recon - rows, rows)]
 
     # the forms run as stacked chunks of rows; the first form of a chunk
     # computes the chunk, and an error in it fails every form of the chunk
     step = max(1, _CHUNK_BYTES // (8 * n))
     for start in range(0, cfg.cases, step):
-        draws = rng.standard_normal((min(step, cfg.cases - start), 21))
-        chunk = _shared(functools.partial(chunk_errors, _banded_rows(draws, *tables)))
+        draws = rng.standard_normal((min(step, cfg.cases - start), len(table)))
+        chunk = _shared(functools.partial(chunk_errors, _banded_rows(draws, table)))
         for i in range(len(draws)):
             yield f"form{start + i}", "oneform_rel_l2", 1e-4, lambda i=i, chunk=chunk: chunk()[i]
     yield "all forms", "term_count", 8.0, lambda: max(term_counts, default=0)

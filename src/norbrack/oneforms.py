@@ -137,8 +137,7 @@ def _add_grid_terms(rows: np.ndarray, mean: np.ndarray, nyquist: np.ndarray) -> 
     adding it with the coefficient negated, bitwise."""
     *_, ab_mean, ab_nyquist = _grid_terms(rows.shape[1])
     for coeffs, ab in ((mean, ab_mean), (nyquist, ab_nyquist)):
-        live = coeffs != 0.0
-        rows[live] += coeffs[live, None] * ab
+        np.add(rows, coeffs[:, None] * ab, out=rows, where=(coeffs != 0.0)[:, None])
     return rows
 
 

@@ -18,7 +18,6 @@ from norbrack.cli import (
     SUITES,
     ReportRecord,
     SuiteConfig,
-    _rel_l2,
     _run_checks,
     emit_report,
     load_config,
@@ -38,7 +37,7 @@ from norbrack.curves import (
     unit_circle,
 )
 from norbrack.errors import ConfigInvalid, NorbrackError, SupportViolation
-from norbrack.fields import trig_basis
+from norbrack.fields import theta_grid, trig_basis
 
 
 def write_config(tmp_path, **kwargs):
@@ -579,16 +578,72 @@ def test_bracket_runs_build_no_first_legs(monkeypatch):
 
 def oneform_reference(n, cases, seed):
     """(case, metric, value) of each random form's record, one form at a
-    time (sequential draws, decompose_oneform, reconstruct and _rel_l2),
-    and each form's term count."""
+    time (sequential draws, decompose_oneform, reconstruct and
+    np.linalg.norm), and each form's term count."""
     rng = np.random.default_rng(seed)
     records, counts = [], []
     for idx in range(cases):
         alpha = band_limited(n, 10, rng)
         dec = oneforms.decompose_oneform(oneforms.OneFormSamples(alpha))
         counts.append(len(dec))
-        records.append((f"form{idx}", "oneform_rel_l2", _rel_l2(oneforms.reconstruct(dec, n).samples - alpha, alpha)))
+        err = oneforms.reconstruct(dec, n).samples - alpha
+        value = float(np.linalg.norm(err) / max(np.linalg.norm(alpha), 1.0))
+        records.append((f"form{idx}", "oneform_rel_l2", value))
     return records, counts
+
+
+def banded_rows_loop(draws, n):
+    """The random forms of draws added left to right, one basis row at a
+    time: the constant, then cos(k theta) and sin(k theta) for k = 1..10."""
+    k_theta = np.arange(1, 11)[:, None] * theta_grid(n)
+    rows = np.repeat(draws[:, :1], n, axis=1)
+    for cos_row, sin_row, ck, sk in zip(np.cos(k_theta), np.sin(k_theta), draws[:, 1::2].T, draws[:, 2::2].T):
+        rows += ck[:, None] * cos_row
+        rows += sk[:, None] * sin_row
+    return rows
+
+
+def banded_cases(n):
+    """(draws, table) pairs on n nodes: 1 to 37 forms, draws scaled over 1e-3 to 1e3."""
+    import norbrack.cli as cli
+
+    rng = np.random.default_rng(n)
+    table = cli._banded_tables(n)
+    for m in (1, 2, 9, 36, 37):
+        for scale in (1e-3, 1.0, 1e3):
+            yield rng.standard_normal((m, len(table))) * scale, table
+
+
+@pytest.mark.parametrize("n", [8, 16, 256, 1024, 2048])
+def test_banded_rows_are_bitwise_the_left_to_right_loop(n):
+    import norbrack.cli as cli
+
+    for draws, table in banded_cases(n):
+        assert np.array_equal(cli._banded_rows(draws, table), banded_rows_loop(draws, n)), draws.shape
+
+
+def test_blas_product_is_not_the_left_to_right_loop():
+    # the check above can fail: a BLAS product reorders the sums, so its
+    # rows differ from the loop's in the last bits
+    differ = [
+        not np.array_equal(draws @ table, banded_rows_loop(draws, n))
+        for n in (8, 16, 256, 1024, 2048)
+        for draws, table in banded_cases(n)
+    ]
+    assert any(differ)
+
+
+def test_rel_l2_is_bitwise_the_norm_quotient():
+    # a reordered sum of squares (np.sum(err * err)) moves about one value in five
+    import norbrack.cli as cli
+
+    rng = np.random.default_rng(3)
+    for n in (16, 256, 1024):
+        for scale in (1e-16, 1e-3, 1.0, 1e3):
+            small, big = rng.standard_normal(n) * 1e-14, rng.standard_normal(n) * scale
+            for err, ref in ((small, big), (big, small)):
+                want = float(np.linalg.norm(err) / max(np.linalg.norm(ref), 1.0))
+                assert cli._rel_l2(err, ref) == want, (n, scale)
 
 
 @pytest.mark.parametrize("n", [16, 256])

@@ -14,7 +14,9 @@ from norbrack.fields import PeriodicScalarField, diff4, diff4_symbol, theta_grid
 from norbrack.oneforms import (
     ABDecomposition,
     OneFormSamples,
+    _add_grid_terms,
     _hodge_split,
+    _reconstruct_split,
     ab_form,
     decompose_oneform,
     decompose_supported,
@@ -152,6 +154,41 @@ def test_stacked_hodge_split_is_bitwise_the_per_row_decomposition(n):
             assert coeff == want_coeff, i
             assert np.array_equal(a.samples, want_a) and np.array_equal(b.samples, want_b), i
     assert len(decompose_oneform(OneFormSamples(rows[6]))) == 0 and not g[6].any()
+
+
+@pytest.mark.parametrize("n", [8, 256])
+def test_grid_terms_leave_rows_with_zero_coefficients_alone(n):
+    # a zero row, an alternating row with no mean, a zero row holding a
+    # -0.0 entry and random rows: live and dead coefficients in one chunk
+    rng = np.random.default_rng(n)
+    th = theta_grid(n)
+    signed_zero = np.zeros(n)
+    signed_zero[1] = -0.0
+    rows = np.stack(
+        [
+            rng.standard_normal(n),
+            np.zeros(n),
+            -1.3 * np.cos((n // 2) * th),
+            signed_zero,
+            np.repeat(rng.standard_normal(n // 2), 2),
+            rng.standard_normal(n),
+        ]
+    )
+    mean, nyquist, g = _hodge_split(rows)
+    assert list(mean != 0.0) == [True, False, False, False, True, True]
+    assert list(nyquist != 0.0) == [True, False, True, False, False, True]
+    ab_mean = ab_form(field(np.cos(th)), field(np.sin(th))).samples
+    ab_nyquist = ab_form(field(np.cos(th)), field(np.sin((n // 2 - 1) * th))).samples
+    got = _add_grid_terms(rows.copy(), mean, nyquist)
+    for i, row in enumerate(rows):
+        want = row + mean[i] * ab_mean if mean[i] != 0.0 else row
+        want = want + nyquist[i] * ab_nyquist if nyquist[i] != 0.0 else want
+        # bytes, so that a -0.0 turned into 0.0 counts as a change
+        assert got[i].tobytes() == want.tobytes(), i
+    recon, counts = _reconstruct_split(mean, nyquist, g)
+    for i, row in enumerate(rows):
+        dec = decompose_oneform(OneFormSamples(row))
+        assert np.array_equal(recon[i], reconstruct(dec, n).samples) and counts[i] == len(dec), i
 
 
 def test_decompose_term_budget():
