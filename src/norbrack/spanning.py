@@ -12,13 +12,25 @@ of two N-row spectra, the normalized trig block and the normalized
 bracket-coefficient block, padded with zeros; verify_spanning computes the two
 separately and never forms the stacked matrix.
 
+The trig block needs no decomposition.  On the uniform grid of n nodes the
+functions 1, cos(k theta), sin(k theta) for k <= n/2 are pairwise orthogonal.
+This is discrete orthogonality: the product of two distinct basis functions is
+a half-sum of cosines or of sines at frequencies k +- j, the node sum of
+sin(l theta) is 0, and that of cos(l theta) is 0 unless l = 0 mod n, which
+k +- j never is for a distinct pair.  So the normalized rows are orthonormal,
+and each gives a singular value of exactly 1.  The one exception is the sine at the Nyquist mode K = n/2, which
+vanishes at every node and stays a zero row; the other 2K = n rows are then an
+orthonormal basis of all n node values.  Either way the block's spectrum is
+min(2K+1, n) ones.
+
 The bracket block is computed in Fourier coordinates.  On n nodes the
 functions cos(f theta), f = 0..n/2, and sin(f theta), f = 1..n/2-1, are a
 basis of the samples; coordinate f <= n/2 is cos(f theta) and coordinate
 n - f is sin(f theta).  diff4 maps cos(k theta) to -lam_k sin(k theta) and
 sin(k theta) to lam_k cos(k theta), lam = diff4_symbol(n), so by
 product-to-sum the bracket coefficient A D B - B D A of basis functions at
-modes a and b has exactly two coordinates:
+modes a and b has exactly two coordinates, at frequencies |a +- b| folded into
+0..n/2:
 
     cos a, cos b:  (lam_a - lam_b)/2 sin((a+b) theta) + (lam_a + lam_b)/2 sin((a-b) theta)
     sin a, sin b:  (lam_b - lam_a)/2 sin((a+b) theta) + (lam_a + lam_b)/2 sin((a-b) theta)
@@ -32,6 +44,11 @@ values are the eigenvalues of M^(1/2) Q M^(1/2), where M = sum_r x_r x_r^T /
 Phi is read off G = n * ifft(speed^-2); with the Cholesky root Q = L L^T they
 are the eigenvalues of L^T M L.  Only coordinates some bracket reaches enter,
 so the block's structural zeros stay exact zeros.
+
+A basis up to mode K reaches frequencies up to min(2K, n/2) only, so M and Q
+are built on the m = min(4K + 1, n) coordinates cos f, f <= m/2, and sin f,
+1 <= f < m/2, laid out as the n coordinates are with m in place of n:
+coordinate f <= m/2 is cos(f theta) and coordinate m - f is sin(f theta).
 """
 
 from __future__ import annotations
@@ -55,6 +72,11 @@ _PAIR_CHUNK = 2**15
 # Bytes a chunk holds per pair: its indices, modes, coefficients, row norms
 # and the four scattered entries with their row and column indices.
 _PAIR_BYTES = 256
+
+# Bytes a spanning run holds per node besides the bracket block: the curve,
+# its frame and the grid-sized arrays behind Q (tracemalloc reads 144 to 148
+# over whole runs at n = 8192 to 262144).
+_NODE_BYTES = 160
 
 # Largest working set (working_set_bytes) a spanning check may take.
 WORKING_SET_BUDGET = 2**30
@@ -102,17 +124,19 @@ class SpanReport:
 
 
 def working_set_bytes(n: int, max_mode: int) -> int:
-    """Bytes verify_spanning holds at once on n nodes up to max_mode.
+    """Bytes a spanning run holds at once on n nodes up to max_mode.
 
-    The bracket block peaks at four n x n float arrays: Q and the index
-    arrays that build it; then M, Q, LAPACK's copy of Q and its Cholesky root
-    L; then L, L^T M and H.  Between those it holds M, Q and one chunk of at
-    most _PAIR_CHUNK pairs.  The normal block holds at most three (2K+1) x n
-    arrays (the fields, their stacked rows and the SVD's copy), which is less.
+    The bracket block, on m = min(4K + 1, n) coordinates, peaks at four m x m
+    float arrays: Q and the index arrays that build it; then M, Q, LAPACK's
+    copy of Q and its Cholesky root L; then L, L^T M and H.  Between those it
+    holds M, Q and one chunk of at most _PAIR_CHUNK pairs.  Next to them sit
+    the curve, its frame and the grid-sized arrays behind Q, at _NODE_BYTES a
+    node.  The normal block's spectrum is written down, not computed.
     """
+    m = min(4 * max_mode + 1, n)
     p = 2 * max_mode + 1
     chunk = min(p * (p - 1) // 2, _PAIR_CHUNK)
-    return 8 * 4 * n * n + chunk * _PAIR_BYTES
+    return 8 * 4 * m * m + chunk * _PAIR_BYTES + n * _NODE_BYTES
 
 
 def _trig_rows(n: int, max_mode: int) -> np.ndarray:
@@ -121,12 +145,10 @@ def _trig_rows(n: int, max_mode: int) -> np.ndarray:
     return np.array([a.samples for a in trig_basis(n, max_mode)])
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Scale rows to unit length in place; zero rows cannot change a rank
-    and are left alone."""
-    norms = np.linalg.norm(rows, axis=1)
-    rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    return rows
+def _normal_sigma(n: int, max_mode: int) -> np.ndarray:
+    """Singular values of the normalized trig block: min(2K+1, n) ones
+    (see the module docstring)."""
+    return np.ones(min(2 * max_mode + 1, n))
 
 
 def normal_generators(c: DiscreteImmersion, max_mode: int) -> list[ImmersionTangent]:
@@ -148,8 +170,9 @@ def bracket_generators(c: DiscreteImmersion, max_mode: int) -> list[ImmersionTan
     return [ImmersionTangent(v.vectors * coeff[:, None], c) for coeff in rows]
 
 
-def _weighted_gram(s: np.ndarray) -> np.ndarray:
-    """Q[a, b] = sum over nodes of phi_a phi_b / s^2 for the n coordinates.
+def _weighted_gram(s: np.ndarray, m: int) -> np.ndarray:
+    """Q[a, b] = sum over nodes of phi_a phi_b / s^2 for the first m
+    coordinates (see the module docstring for their layout).
 
     With phi = cos(f theta - p pi/2), p = 1 for a sine, the product is
     (cos((f_a - f_b) theta - (p_a - p_b) pi/2) + cos((f_a + f_b) theta -
@@ -159,9 +182,9 @@ def _weighted_gram(s: np.ndarray) -> np.ndarray:
     n = s.shape[0]
     g = n * np.fft.ifft(1.0 / (s * s))
     table = np.concatenate([g.real, g.imag, -g.real, -g.imag])
-    coord = np.arange(n)
-    freq = np.where(coord <= n // 2, coord, n - coord)
-    phase = (coord > n // 2).astype(np.int64)
+    coord = np.arange(m)
+    freq = np.where(coord <= m // 2, coord, m - coord)
+    phase = (coord > m // 2).astype(np.int64)
     q = table[np.subtract.outer(phase, phase) % 4 * n + np.subtract.outer(freq, freq) % n]
     q += table[np.add.outer(phase, phase) * n + np.add.outer(freq, freq) % n]
     q *= 0.5
@@ -180,9 +203,10 @@ def _pair_chunks(p: int):
         yield i, k - starts[i] + i + 1
 
 
-def _coordinate(n: int, freq: np.ndarray, sine: np.ndarray, coeff: np.ndarray):
-    """Coordinate index and coefficient of coeff * t(freq theta) on n nodes,
-    with t = sin where sine and cos elsewhere, for signed integer freq.
+def _coordinate(n: int, m: int, freq: np.ndarray, sine: np.ndarray, coeff: np.ndarray):
+    """Coordinate index among the first m and coefficient of coeff *
+    t(freq theta) on n nodes, with t = sin where sine and cos elsewhere, for
+    signed integer freq whose folded frequency is at most m // 2.
 
     cos is even and sin odd, and on the grid sin((n - f) theta) = -sin(f
     theta); a sine at frequency 0 or n/2 vanishes on the grid and gets
@@ -193,7 +217,7 @@ def _coordinate(n: int, freq: np.ndarray, sine: np.ndarray, coeff: np.ndarray):
     f = np.where(over, n - f, f)
     coeff = np.where(sine & ((freq < 0) != over), -coeff, coeff)
     dead = sine & ((f == 0) | (f == n // 2))
-    return np.where(sine & ~dead, n - f, f), np.where(dead, 0.0, coeff)
+    return np.where(sine & ~dead, m - f, f), np.where(dead, 0.0, coeff)
 
 
 def _bracket_sigma(c: DiscreteImmersion, max_mode: int) -> np.ndarray:
@@ -202,21 +226,22 @@ def _bracket_sigma(c: DiscreteImmersion, max_mode: int) -> np.ndarray:
     n = c.grid_n
     lam = diff4_symbol(n)
     p = 2 * max_mode + 1
+    m = min(4 * max_mode + 1, n)  # the coordinates a bracket can reach
     mode = np.zeros(p, dtype=np.int64)
     mode[1::2] = mode[2::2] = np.arange(1, max_mode + 1)
     sine = np.zeros(p, dtype=bool)
     sine[2::2] = True
     # a pair with the Nyquist sine (the zero function) puts two opposite
     # coefficients on one coordinate, so its row norm is an exact 0
-    q = _weighted_gram(speed(c).samples)
-    gram = np.zeros((n, n))
+    q = _weighted_gram(speed(c).samples, m)
+    gram = np.zeros((m, m))
     for i, j in _pair_chunks(p):
         a, b, si, sj = mode[i], mode[j], sine[i], sine[j]
         same = si == sj
         plus = np.where(si | sj, 0.5, -0.5) * (lam[b] - lam[a])
         minus = np.where(si & ~sj, -0.5, 0.5) * (lam[a] + lam[b])
-        i1, c1 = _coordinate(n, a + b, same, plus)
-        i2, c2 = _coordinate(n, a - b, same, minus)
+        i1, c1 = _coordinate(n, m, a + b, same, plus)
+        i2, c2 = _coordinate(n, m, a - b, same, minus)
         norm2 = c1 * c1 * q[i1, i1] + 2.0 * c1 * c2 * q[i1, i2] + c2 * c2 * q[i2, i2]
         w = np.divide(1.0, norm2, out=np.zeros_like(norm2), where=norm2 > 0.0)
         cross = w * c1 * c2
@@ -226,10 +251,10 @@ def _bracket_sigma(c: DiscreteImmersion, max_mode: int) -> np.ndarray:
             np.concatenate([w * c1 * c1, w * c2 * c2, cross, cross]),
         )
     reached = np.flatnonzero(np.diagonal(gram) > 0.0)
-    if reached.size < n:
+    if reached.size < m:
         gram = gram[np.ix_(reached, reached)]
         q = q[np.ix_(reached, reached)]
-    # each n x n array is dropped once used; working_set_bytes counts the rest
+    # each m x m array is dropped once used; working_set_bytes counts the rest
     root = np.linalg.cholesky(q)
     del q
     h = root.T @ gram
@@ -244,20 +269,22 @@ def _bracket_sigma(c: DiscreteImmersion, max_mode: int) -> np.ndarray:
 def verify_spanning(
     c: DiscreteImmersion, max_mode: int, rank_tol: float = DEFAULT_RANK_TOL
 ) -> SpanReport:
-    """SVD rank of the normal + bracket generators, stacked as 2N columns.
+    """Rank of the normal + bracket generators, stacked as 2N columns.
 
     Columns are normalized to unit length (zero columns are left alone, they
     cannot change the rank); rank counts singular values at or above
     rank_tol times the largest one, and full means rank == 2 * grid_n.
 
-    The spectrum is computed per block: an exact SVD of the normalized trig
-    block, and the exact spectrum of the normalized bracket block in Fourier
-    coordinates (see the module docstring).
+    The spectrum is computed per block (see the module docstring): the
+    normalized trig block's is written down, since its nonzero rows are
+    orthonormal on the uniform grid, and the normalized bracket block's is
+    computed exactly in Fourier coordinates.
     """
     if c.ambient != PLANE:
         raise ValueError("spanning verification is defined for plane curves only")
     n = c.grid_n
-    normal_sigma = np.linalg.svd(_unit_rows(_trig_rows(n, max_mode)), compute_uv=False)
+    _check_modes(n, max_mode)
+    normal_sigma = _normal_sigma(n, max_mode)
     bracket_sigma = _bracket_sigma(c, max_mode)
     p = 2 * max_mode + 1
     num_generators = p + p * (p - 1) // 2

@@ -221,6 +221,13 @@ def test_oversized_spanning_grid_is_config_error_before_any_work(monkeypatch, ca
     assert "config error" in capsys.readouterr().err
 
 
+def test_spanning_budget_follows_the_modes():
+    # the bracket block is sized by the 4K + 1 coordinates that K modes reach,
+    # so K = 3 fits on the grid where the default K = n/2 is refused (above)
+    cfg = SuiteConfig(suite="spanning", grid_n=65536, modes=3)
+    assert validate_config(cfg) is cfg
+
+
 def test_default_spanning_grid_is_within_budget():
     assert validate_config(SuiteConfig(suite="spanning", grid_n=1024)).grid_n == 1024
 
@@ -346,6 +353,7 @@ def test_default_and_benchmark_configs_are_within_budget():
         {"suite": "variation", "grid_n": 16384},
         {"suite": "variation", "grid_n": 4096, "ambient": SPHERE},
         {"suite": "arc", "grid_n": 4096},
+        {"suite": "spanning", "grid_n": 65536, "modes": 3},
     ],
 )
 def test_working_set_estimate_bounds_the_traced_peak(fields):

@@ -49,6 +49,8 @@ def test_basis_too_large():
         normal_generators(c, 9)
     with pytest.raises(BasisTooLarge):
         bracket_generators(c, 9)
+    with pytest.raises(BasisTooLarge):
+        verify_spanning(c, 9)
 
 
 def test_bracket_generator_count_and_values():
@@ -129,6 +131,39 @@ def brute_force_spectrum(c, max_mode, rank_tol=spanning.DEFAULT_RANK_TOL):
     return sigma, int(np.sum(sigma >= rank_tol * sigma[0]))
 
 
+def unit_trig_rows(n, max_mode):
+    """The trig basis as rows scaled to unit length; the zero Nyquist sine
+    stays a zero row."""
+    rows = np.array([a.samples for a in trig_basis(n, max_mode)])
+    norms = np.linalg.norm(rows, axis=1)
+    rows[norms > 0.0] /= norms[norms > 0.0, None]
+    return rows
+
+
+def svd_path_spectrum(c, max_mode):
+    """verify_spanning's spectrum with the normal block taken by SVD of the
+    unit trig rows instead of in closed form."""
+    p = 2 * max_mode + 1
+    normal = np.linalg.svd(unit_trig_rows(c.grid_n, max_mode), compute_uv=False)
+    merged = np.sort(np.concatenate([normal, spanning._bracket_sigma(c, max_mode)]))[::-1]
+    sigma = np.zeros(min(2 * c.grid_n, p * (max_mode + 1)))
+    sigma[: merged.size] = merged
+    return sigma
+
+
+NORMAL_BLOCK_CASES = [(n, k) for n in (8, 16, 64, 256) for k in sorted({0, 1, 3, n // 2 - 1, n // 2})]
+
+
+@pytest.mark.parametrize("n, max_mode", NORMAL_BLOCK_CASES)
+def test_normal_block_closed_form_is_its_svd(n, max_mode):
+    sigma = np.linalg.svd(unit_trig_rows(n, max_mode), compute_uv=False)
+    closed = spanning._normal_sigma(n, max_mode)
+    assert closed.shape == sigma.shape
+    assert np.max(np.abs(closed - sigma)) <= 1e-13
+    rank = int(np.sum(sigma >= spanning.DEFAULT_RANK_TOL * sigma[0]))
+    assert verify_spanning(unit_circle(n), max_mode).normal_rank == rank
+
+
 SPAN_CURVES = {
     "circle": unit_circle,
     "ellipse": lambda n: ellipse(n, 1.5, 0.7),
@@ -178,6 +213,24 @@ def test_verify_spanning_matches_stacked_svd_at_128(family, max_mode):
     assert report.rank == rank
 
 
+def sigma_ratio(sigma):
+    return sigma[0] / sigma[-1] if sigma[-1] > 0.0 else np.inf
+
+
+# the closed form moves sigma_min from the SVD's rounding of 1 to an exact 1,
+# so sigma_max_over_min moves in its last digits: 6.7e-14 relative at n = 512
+@pytest.mark.parametrize("family", sorted(SPAN_CURVES))
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_sigma_ratio_is_the_svd_path_to_rounding(n, family):
+    c = SPAN_CURVES[family](n)
+    for max_mode in (n // 2, n // 2 - 1, 3):
+        sigma = svd_path_spectrum(c, max_mode)
+        report = verify_spanning(c, max_mode)
+        assert report.rank == int(np.sum(sigma >= spanning.DEFAULT_RANK_TOL * sigma[0]))
+        want, got = sigma_ratio(sigma), sigma_ratio(report.singular_values)
+        assert got == want or abs(got - want) <= 1e-12 * want
+
+
 def test_unreached_modes_are_exact_zeros():
     # the brackets of 7 trig functions reach the 11 Fourier coordinates up to
     # mode 5 (mode 6 comes only from cos 3 and sin 3, whose sum term has
@@ -187,6 +240,19 @@ def test_unreached_modes_are_exact_zeros():
     assert report.rank == 18
     assert report.singular_values.shape == (28,)
     assert np.all(report.singular_values[report.rank :] == 0.0)
+
+
+def peak_rss_rise(script):
+    """Bytes of peak RSS the script's measured call adds, and its bound, as
+    the script prints them."""
+    # a child exec'd from this process inherits its peak RSS as ru_maxrss, so
+    # the measuring process is started from a bare interpreter
+    launcher = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, script], capture_output=True, text=True, check=True
+    )
+    rise, bound = (int(x) for x in proc.stdout.split())
+    return rise, bound
 
 
 def test_working_set_bound_holds_for_the_measured_peak():
@@ -200,14 +266,26 @@ verify_spanning(ellipse(512, 1.5, 0.7), 256)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print((after - before) * 1024, working_set_bytes(512, 256))
 """
-    # a child exec'd from this process inherits its peak RSS as ru_maxrss, so
-    # the measuring process is started from a bare interpreter
-    launcher = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
-    proc = subprocess.run(
-        [sys.executable, "-c", launcher, script], capture_output=True, text=True, check=True
-    )
-    rise, bound = (int(x) for x in proc.stdout.split())
+    rise, bound = peak_rss_rise(script)
     assert 0 < rise <= bound
+
+
+def test_few_modes_on_a_fine_grid_take_a_small_block():
+    # the brackets of 7 trig functions reach at most 13 coordinates, so the
+    # block is at most 13 x 13 on any grid; at n = 2048 an n x n array is 32 MiB
+    script = """
+import resource
+from norbrack.curves import unit_circle
+from norbrack.spanning import verify_spanning, working_set_bytes
+verify_spanning(unit_circle(16), 3)  # load LAPACK and its buffers first
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+verify_spanning(unit_circle(2048), 3)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print((after - before) * 1024, working_set_bytes(2048, 3))
+"""
+    rise, bound = peak_rss_rise(script)
+    assert rise <= 4 * 2**20
+    assert bound <= 2**20
 
 
 def test_verify_spanning_rejects_sphere():
