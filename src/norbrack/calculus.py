@@ -308,8 +308,8 @@ def bracket_numeric(
 # frame vectors as _frames computes them, and one projection, _tangents, where
 # the per-pair path wraps a value in an ImmersionTangent; so every value is
 # bitwise equal to bracket_numeric, bracket_closed_form and torsion_defect.  A
-# check that raises only sends the affected pairs back to those per-pair
-# functions, which then produce the error themselves.
+# stage that raises on a chunk runs again item by item (_by_chunks), so a pair
+# whose check raises gets the error that the per-pair functions raise for it.
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -343,16 +343,41 @@ def _normal_field(ambient: str, points: np.ndarray, coeffs: np.ndarray, normals=
     return _tangents(ambient, points, normals * coeffs[..., None])
 
 
-def _chunks(count: int, item_bytes: int):
-    """Slices of range(count) holding about _CHUNK_BYTES of items each."""
+def _by_chunks(stage, count: int, item_bytes: int) -> list:
+    """stage(s) over slices s of range(count) holding about _CHUNK_BYTES of
+    items each, in order; stage(s) returns one value per item of s.
+
+    A slice that raises runs again one item at a time, outside the handler,
+    and an item that still raises gets its error, without its traceback, in
+    place of its value: so no stored error keeps a frame, or an array, alive.
+    """
+    out = []
     step = max(1, _CHUNK_BYTES // item_bytes)
     for start in range(0, count, step):
-        yield slice(start, min(start + step, count))
+        try:
+            out += stage(slice(start, min(start + step, count)))
+            continue
+        except (NorbrackError, ValueError):
+            pass
+        for f in range(start, min(start + step, count)):
+            try:
+                out += stage(slice(f, f + 1))
+            except (NorbrackError, ValueError) as exc:
+                out.append(exc.with_traceback(None))
+    return out
+
+
+def _raise_first(errors: list, i: np.ndarray) -> None:
+    """Raise afresh the stored error of the first function in i that has one."""
+    for f in i.tolist():
+        if errors[f] is not None:
+            raise errors[f].with_traceback(None)
 
 
 # Bytes each pair of a bracket or torsion run holds until the run ends: its
-# index pair, its batched value and its record.  tracemalloc reads 233-243
-# bytes per pair at n = 256 and 512 with 64 and 128 modes.
+# index pair, its batched value, or an error without traceback that it may
+# share with other pairs, and its record.  tracemalloc reads 233-243 bytes
+# per pair at n = 256 and 512 with 64 and 128 modes.
 _PAIR_BYTES = 256
 
 
@@ -384,8 +409,10 @@ class _NormalPairs:
     Built once per curve, basis and eps: the curves c +/- eps f_k n, 2K of
     them for K basis functions, serve both directional derivatives of every
     pair, and the first legs of the flow loops (built on the first torsion
-    chunk) serve every loop.  The methods take index arrays i, j of a chunk
-    of pairs.
+    chunk) serve every loop.  Each stack keeps the error of each function
+    whose curve raised; a pair check raises it where it reaches the curve,
+    as the per-pair functions do.  The methods take index arrays i, j of a
+    chunk of pairs.
     """
 
     def __init__(self, c: DiscreteImmersion, basis: list[PeriodicScalarField], eps: float):
@@ -400,68 +427,56 @@ class _NormalPairs:
         self.coeffs = np.column_stack([f.samples for f in basis])
         # arclen_deriv of every basis function, from one diff4
         self.derivs = _finite(diff4(self.coeffs) / s[:, None])
-        self.perturbed = []
-        for step in (eps, -eps):
-            points, normals = self._stacks()
-            for k in _chunks(self.coeffs.shape[1], self.points.nbytes):
-                direction = _normal_field(c.ambient, self.points, self.coeffs[:, k], self.normal)
-                points[:, k] = _retract(c.ambient, self.points + step * direction)
-                normals[:, k] = _normals(c.ambient, points[:, k])
-            self.perturbed.append((points, normals))
+        self.perturbed = [self._curves(self._perturbed, step) for step in (eps, -eps)]
 
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Empty points and normals, one curve per basis function, shaped
-        (n, K, d) with each curve's samples contiguous, so that a chunk's
-        gather stack[:, i] copies whole curves (7-12x faster than from a
-        C-ordered stack at n = 256 and 512)."""
-        n, d = self.points.shape[0], self.points.shape[2]
+    def _curves(self, end, step: float) -> tuple[np.ndarray, np.ndarray, list]:
+        """The curves end(k, step) gives for slices k of the basis functions,
+        their normals, and each function's error (None where it raised none).
+        The stacks are shaped (n, K, d) with each curve's samples contiguous,
+        so that a chunk's gather stack[:, i] copies whole curves (7-12x
+        faster than from a C-ordered stack at n = 256 and 512)."""
+        n, _, d = self.points.shape
         points = np.empty((self.coeffs.shape[1], n, d)).transpose(1, 0, 2)
-        return points, np.empty_like(points)
+        normals = np.empty_like(points)
+
+        def stage(k: slice) -> list:
+            points[:, k] = end(k, step)
+            normals[:, k] = _normals(self.ambient, points[:, k])
+            return [None] * (k.stop - k.start)
+
+        return points, normals, _by_chunks(stage, self.coeffs.shape[1], self.points.nbytes)
+
+    def _perturbed(self, k: slice, step: float) -> np.ndarray:
+        """The curves c + step f_k n."""
+        direction = _normal_field(self.ambient, self.points, self.coeffs[:, k], self.normal)
+        return _retract(self.ambient, self.points + step * direction)
+
+    def _first_leg(self, k: slice, step: float) -> np.ndarray:
+        """Where the flow of f_k n, run for step from c, ends."""
+        a = self.coeffs[:, k]
+        return _flow_leg(
+            self.points,
+            lambda pts: _normal_field(self.ambient, pts, a),
+            step,
+            self.ambient,
+            lambda pts: _normal_field(self.ambient, pts, a, self.normal),
+        )
 
     @functools.cached_property
-    def _first_legs(self) -> tuple[dict, np.ndarray]:
-        """The first leg, x = f_k n from c, of the flow loops of every basis
-        function k: for each step +eps and -eps, the points where it ends and
-        their normals, one curve per function; and which functions' legs
-        raised.
-
-        The loops of the pairs (i, j) for all j start with this leg of f_i,
-        so they share it.  A chunk of functions that raises runs again one
-        function at a time, so that only the pairs of the functions whose
-        leg raised fall back.
-        """
-        legs = {step: self._stacks() for step in (self.eps, -self.eps)}
-        raised = np.zeros(self.coeffs.shape[1], dtype=bool)
-
-        def build(k: slice) -> None:
-            a = self.coeffs[:, k]
-            for step, (points, normals) in legs.items():
-                points[:, k] = _flow_leg(
-                    self.points,
-                    lambda pts: _normal_field(self.ambient, pts, a),
-                    step,
-                    self.ambient,
-                    lambda pts: _normal_field(self.ambient, pts, a, self.normal),
-                )
-                normals[:, k] = _normals(self.ambient, points[:, k])
-
-        for k in _chunks(self.coeffs.shape[1], self.points.nbytes):
-            try:
-                build(k)
-            except (NorbrackError, ValueError):
-                for f in range(k.start, k.stop):
-                    try:
-                        build(slice(f, f + 1))
-                    except (NorbrackError, ValueError):
-                        raised[f] = True
-        return legs, raised
+    def _first_legs(self) -> dict:
+        """The first leg of the flow loops of every basis function, as
+        _curves gives it, for each step +eps and -eps.  The loops of the
+        pairs (i, j) for all j start with this leg of f_i, so they share it."""
+        return {step: self._curves(self._first_leg, step) for step in (self.eps, -self.eps)}
 
     def _derivative(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """directional_derivative(f_j n, c, f_i n (c), eps) for each pair."""
-        plus, minus = (
-            _normal_field(self.ambient, points[:, i], self.coeffs[:, j], normals[:, i])
-            for points, normals in self.perturbed
-        )
+
+        def field(points, normals, errors):
+            _raise_first(errors, i)
+            return _normal_field(self.ambient, points[:, i], self.coeffs[:, j], normals[:, i])
+
+        plus, minus = (field(*stack) for stack in self.perturbed)
         return _tangents(self.ambient, self.points, (plus - minus) / (2.0 * self.eps))
 
     def _numeric(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -477,13 +492,11 @@ class _NormalPairs:
     def _flow_commutator(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """flow_commutator of f_i n and f_j n: each loop starts from the
         shared first leg of f_i, and its other legs run as stacks."""
-        legs, raised = self._first_legs
-        if raised[i].any():
-            raise ValueError("the first flow leg of a pair in this chunk raised")
         a, b = self.coeffs[:, i], self.coeffs[:, j]
 
         def leg_x(step):
-            points, normals = legs[step]
+            points, normals, errors = self._first_legs[step]
+            _raise_first(errors, i)
             return points[:, i], lambda pts: _normal_field(self.ambient, pts, b, normals[:, i])
 
         delta = _commutator_delta(
@@ -513,21 +526,14 @@ class _NormalPairs:
 def _pairwise(check, c: DiscreteImmersion, basis: list[PeriodicScalarField], pairs, eps: float) -> list:
     """check(_NormalPairs, i, j) over chunks of the index pairs, in order.
 
-    Each pair gets its value, or None where a check of its chunk raised (all
-    pairs when the shared stage raised); those pairs are for the per-pair
-    functions.
+    Each pair gets its value, or the error its check raised, as _by_chunks
+    gives them; where _NormalPairs itself raised, every pair holds its error.
     """
     if not pairs:
         return []
     try:
         stack = _NormalPairs(c, basis, eps)
-    except (NorbrackError, ValueError):
-        return [None] * len(pairs)
-    out = []
-    for chunk in _chunks(len(pairs), c.points.nbytes):
-        i, j = np.array(pairs[chunk]).T
-        try:
-            out += check(stack, i, j)
-        except (NorbrackError, ValueError):
-            out += [None] * len(i)
-    return out
+    except (NorbrackError, ValueError) as exc:
+        return [exc.with_traceback(None)] * len(pairs)
+    index = np.array(pairs).T
+    return _by_chunks(lambda k: check(stack, *index[:, k]), len(pairs), c.points.nbytes)

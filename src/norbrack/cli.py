@@ -29,10 +29,9 @@ from .curves import (
     great_circle,
     latitude_circle,
     load_curve_csv,
-    pointwise_inner,
     random_fourier_curve,
 )
-from .errors import BasisTooLarge, ConfigInvalid, NorbrackError
+from .errors import BasisTooLarge, ConfigInvalid, GenerationFailed, NorbrackError
 from .fields import _CHUNK_BYTES, PeriodicScalarField, _check_modes, theta_grid, trig_basis
 
 SUITES = ("bracket", "torsion", "variation", "spanning", "oneform", "arc")
@@ -197,10 +196,14 @@ def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
         if kind == "fourier":
             if cfg.ambient == SPHERE:
                 raise ConfigInvalid("fourier family is planar")
-            if rest:
-                seed_s, modes_s, decay_s = rest.split(",")
-                return random_fourier_curve(int(seed_s), cfg.grid_n, int(modes_s), float(decay_s))
-            return random_fourier_curve(cfg.seed, cfg.grid_n, 6, 3.0)
+            seed_s, modes_s, decay_s = rest.split(",") if rest else (cfg.seed, 6, 3.0)
+            seed, modes, decay = int(seed_s), int(modes_s), float(decay_s)
+            # n nodes resolve n/2 modes, and each mode costs O(n) to draw
+            if modes > cfg.grid_n // 2:
+                raise ConfigInvalid(
+                    f"fourier family has {modes} modes, but grid_n={cfg.grid_n} resolves at most {cfg.grid_n // 2}"
+                )
+            return random_fourier_curve(seed, cfg.grid_n, modes, decay)
         if kind == "file":
             if not rest:
                 raise ConfigInvalid("file family needs a path: file:<path>")
@@ -217,7 +220,7 @@ def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
             return c
     except ConfigInvalid:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, GenerationFailed) as exc:
         raise ConfigInvalid(f"cannot build curve family {cfg.family!r}: {exc}") from exc
     raise ConfigInvalid(f"unknown curve family {cfg.family!r}")
 
@@ -243,37 +246,30 @@ def _run_checks(cfg: SuiteConfig, checks) -> list[ReportRecord]:
     return records
 
 
-def _trig_pair_checks(cfg: SuiteConfig, c: DiscreteImmersion, check, eps: float, per_pair):
-    """(case, compute) for every trig basis pair i < j, in record order.
+def _raise_or_return(got):
+    if isinstance(got, Exception):
+        raise got.with_traceback(None)  # a shared error gathers no frames
+    return got
 
-    compute returns the pair's value from the batched check, or, where a
-    check raised in the pair's chunk, per_pair(f_i, f_j): the per-pair
-    functions reproduce the error, or the value, on their own.
-    """
+
+def _trig_pair_checks(cfg: SuiteConfig, c: DiscreteImmersion, check, eps: float):
+    """(case, compute) for every trig basis pair i < j, in record order:
+    compute returns the pair's value from the batched check, or raises the
+    error the check raised for the pair."""
     max_mode = _modes(cfg)
     names = ["1"]
     for k in range(1, max_mode + 1):
         names += [f"cos{k}", f"sin{k}"]
     basis = trig_basis(c.grid_n, max_mode)
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
-    batched = calculus._pairwise(check, c, basis, pairs, eps)
-    for (i, j), got in zip(pairs, batched):
-        case = f"{names[i]},{names[j]}"
-        if got is None:
-            yield case, functools.partial(per_pair, basis[i], basis[j])
-        else:
-            yield case, lambda got=got: got
+    for (i, j), got in zip(pairs, calculus._pairwise(check, c, basis, pairs, eps)):
+        yield f"{names[i]},{names[j]}", functools.partial(_raise_or_return, got)
 
 
 def _suite_bracket(cfg: SuiteConfig):
     c = make_curve(cfg)
     eps = cfg.eps or _DEFAULT_EPS["bracket"]
     tol = 1e-3 if cfg.ambient == PLANE else 1e-2
-
-    def per_pair(a, b):
-        numeric = calculus.bracket_numeric(c, a, b, eps)
-        closed = calculus.bracket_closed_form(c, a, b)
-        return (numeric - closed).max_norm(), pointwise_inner(numeric, frame(c)[1]).max_abs()
 
     # the numeric bracket also measures the normal leak; if a pair raised,
     # its leak is unknown and counts as infinite
@@ -284,7 +280,7 @@ def _suite_bracket(cfg: SuiteConfig):
         value, leaks[-1] = pair()
         return value
 
-    for case, pair in _trig_pair_checks(cfg, c, calculus._NormalPairs.bracket, eps, per_pair):
+    for case, pair in _trig_pair_checks(cfg, c, calculus._NormalPairs.bracket, eps):
         yield case, "bracket_max_diff", tol, functools.partial(compute, pair)
     yield "all pairs", "bracket_normal_leak", 1e-3, lambda: max(leaks, default=0.0)
 
@@ -293,11 +289,7 @@ def _suite_torsion(cfg: SuiteConfig):
     c = make_curve(cfg)
     eps = cfg.eps or _DEFAULT_EPS["torsion"]
     tol = 1e-3 if cfg.ambient == PLANE else 1e-2
-
-    def per_pair(a, b):
-        return calculus.torsion_defect(c, calculus.normal_field(a), calculus.normal_field(b), eps)
-
-    for case, compute in _trig_pair_checks(cfg, c, calculus._NormalPairs.torsion, eps, per_pair):
+    for case, compute in _trig_pair_checks(cfg, c, calculus._NormalPairs.torsion, eps):
         yield case, "torsion_defect", tol, compute
 
 
