@@ -79,7 +79,8 @@ class CurveField:
     tangent (ImmersionTangent, or _vectors on arrays) projects them, once.
 
     Fields support addition and scaling, so composites like v + 0.3 * (a n)
-    can be built from the named constructors below.
+    can be built from the named constructors below.  A composite's rule
+    combines its operands' rules, so its value too is projected once.
     """
 
     def __init__(self, rule: Callable[[str, np.ndarray, Callable], np.ndarray], name: str = "field"):
@@ -101,18 +102,14 @@ class CurveField:
         return self._vectors(ambient, points, _lazy_frames(ambient, points))
 
     def __add__(self, other: "CurveField") -> "CurveField":
-        return CurveField(
-            lambda *curve: self._vectors(*curve) + other._vectors(*curve), f"{self.name}+{other.name}"
-        )
+        return CurveField(lambda *curve: self._rule(*curve) + other._rule(*curve), f"{self.name}+{other.name}")
 
     def __sub__(self, other: "CurveField") -> "CurveField":
-        return CurveField(
-            lambda *curve: self._vectors(*curve) - other._vectors(*curve), f"{self.name}-{other.name}"
-        )
+        return CurveField(lambda *curve: self._rule(*curve) - other._rule(*curve), f"{self.name}-{other.name}")
 
     def __mul__(self, factor: float) -> "CurveField":
         factor = float(factor)
-        return CurveField(lambda *curve: self._vectors(*curve) * factor, f"{factor:g}*{self.name}")
+        return CurveField(lambda *curve: self._rule(*curve) * factor, f"{factor:g}*{self.name}")
 
     __rmul__ = __mul__
 
@@ -343,27 +340,34 @@ def _normal_field(ambient: str, points: np.ndarray, coeffs: np.ndarray, normals=
     return _tangents(ambient, points, normals * coeffs[..., None])
 
 
-def _by_chunks(stage, count: int, item_bytes: int) -> list:
-    """stage(s) over slices s of range(count) holding about _CHUNK_BYTES of
-    items each, in order; stage(s) returns one value per item of s.
+def _outcome(compute):
+    """compute(), or the package error or ValueError that it raised, with
+    its traceback cleared.  The error's handler has exited by the time it is
+    returned, so no later error is chained to it, and a stored error keeps
+    no frame, or array, alive."""
+    try:
+        return compute()
+    except (NorbrackError, ValueError) as exc:
+        return exc.with_traceback(None)
 
-    A slice that raises runs again one item at a time, outside the handler,
-    and an item that still raises gets its error, without its traceback, in
-    place of its value: so no stored error keeps a frame, or an array, alive.
+
+def _by_chunks(stage, count: int, item_bytes: int) -> list:
+    """The _outcome of each item of range(count), in order: stage(s) runs
+    over slices s holding about _CHUNK_BYTES of items each, and returns one
+    value per item of s.  A slice that raises runs again one item at a time,
+    and an item that still raises gets its error in place of its value.
     """
     out = []
     step = max(1, _CHUNK_BYTES // item_bytes)
     for start in range(0, count, step):
-        try:
-            out += stage(slice(start, min(start + step, count)))
-            continue
-        except (NorbrackError, ValueError):
-            pass
-        for f in range(start, min(start + step, count)):
-            try:
-                out += stage(slice(f, f + 1))
-            except (NorbrackError, ValueError) as exc:
-                out.append(exc.with_traceback(None))
+        stop = min(start + step, count)
+        chunk = _outcome(lambda: stage(slice(start, stop)))
+        if isinstance(chunk, Exception):
+            chunk = []
+            for f in range(start, stop):
+                got = _outcome(lambda: stage(slice(f, f + 1)))
+                chunk += [got] if isinstance(got, Exception) else got
+        out += chunk
     return out
 
 
@@ -531,9 +535,8 @@ def _pairwise(check, c: DiscreteImmersion, basis: list[PeriodicScalarField], pai
     """
     if not pairs:
         return []
-    try:
-        stack = _NormalPairs(c, basis, eps)
-    except (NorbrackError, ValueError) as exc:
-        return [exc.with_traceback(None)] * len(pairs)
+    stack = _outcome(lambda: _NormalPairs(c, basis, eps))
+    if isinstance(stack, Exception):
+        return [stack] * len(pairs)
     index = np.array(pairs).T
     return _by_chunks(lambda k: check(stack, *index[:, k]), len(pairs), c.points.nbytes)

@@ -31,7 +31,7 @@ from .curves import (
     load_curve_csv,
     random_fourier_curve,
 )
-from .errors import BasisTooLarge, ConfigInvalid, GenerationFailed, NorbrackError
+from .errors import BasisTooLarge, ConfigInvalid, GenerationFailed
 from .fields import _CHUNK_BYTES, PeriodicScalarField, _check_modes, theta_grid, trig_basis
 
 SUITES = ("bracket", "torsion", "variation", "spanning", "oneform", "arc")
@@ -157,8 +157,10 @@ def _working_set(cfg: SuiteConfig) -> tuple[int, str]:
     coordinate): tracemalloc reads 26 to 28 a coordinate for arc, and 21
     (plane) to 23 (sphere) for variation, at n = 1024 to 16384.  oneform counts
     arrays of n floats (39 to 46 read at n = 8192 to 65536), eight chunks of
-    forms as _CHUNK_BYTES sizes them, and the bytes each record holds until
-    the run ends (233 read at n = 64 and 1024).
+    forms as _CHUNK_BYTES sizes them, and for each case the bytes held until
+    the run ends: its 21 draws, made up front, the tuple of its outcome (64
+    with its list slot), and its record (233 read at n = 64 and 1024).
+    tracemalloc reads 361 to 458 a case in all at n = 64 to 1024.
     """
     n, dim = cfg.grid_n, 2 if cfg.ambient == PLANE else 3
     if cfg.suite == "spanning":
@@ -168,7 +170,7 @@ def _working_set(cfg: SuiteConfig) -> tuple[int, str]:
         k = _modes(cfg)
         return calculus._pairs_working_set_bytes(n, k, dim, cfg.suite), f", K={k}"
     if cfg.suite == "oneform":
-        return 8 * n * 48 + 8 * _CHUNK_BYTES + 256 * cfg.cases, f", cases={cfg.cases}"
+        return 8 * n * 48 + 8 * _CHUNK_BYTES + (8 * 21 + 64 + 256) * cfg.cases, f", cases={cfg.cases}"
     return 8 * n * dim * 32, ""
 
 
@@ -226,36 +228,27 @@ def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
 
 
 def _run_checks(cfg: SuiteConfig, checks) -> list[ReportRecord]:
-    """One record per (case, metric, default tolerance, compute) check, in order.
+    """One record per (case, metric, default tolerance, outcome) check, in order.
 
     The config's tolerance for the metric, where it sets one, replaces the
-    default.  Each compute runs before the next check is drawn, so a suite
-    can read what its earlier checks computed.  A compute that raises a
-    package error or a ValueError makes a failed record instead of a crash:
-    value inf and the error's type and message appended to the case.  Other
-    exceptions, and any raised while drawing a check, propagate.
+    default.  An outcome is the check's value, or the error that computing
+    it raised (calculus._outcome), which makes a failed record: value inf
+    and the error's type and message appended to the case.  Errors raised
+    while drawing a check propagate.
     """
     records = []
-    for case, metric, tolerance, compute in checks:
-        try:
-            value = compute()
-        except (NorbrackError, ValueError) as exc:
-            case, value = f"{case} [{type(exc).__name__}: {exc}]", np.inf
-        value, tolerance = float(value), float(cfg.tolerances.get(metric, tolerance))
+    for case, metric, tolerance, outcome in checks:
+        if isinstance(outcome, Exception):
+            case, outcome = f"{case} [{type(outcome).__name__}: {outcome}]", np.inf
+        value, tolerance = float(outcome), float(cfg.tolerances.get(metric, tolerance))
         records.append(ReportRecord(cfg.suite, case, cfg.grid_n, metric, value, tolerance, value <= tolerance))
     return records
 
 
-def _raise_or_return(got):
-    if isinstance(got, Exception):
-        raise got.with_traceback(None)  # a shared error gathers no frames
-    return got
-
-
 def _trig_pair_checks(cfg: SuiteConfig, c: DiscreteImmersion, check, eps: float):
-    """(case, compute) for every trig basis pair i < j, in record order:
-    compute returns the pair's value from the batched check, or raises the
-    error the check raised for the pair."""
+    """(case, outcome) for every trig basis pair i < j, in record order: the
+    pair's value from the batched check, or the error the check raised for
+    the pair."""
     max_mode = _modes(cfg)
     names = ["1"]
     for k in range(1, max_mode + 1):
@@ -263,34 +256,29 @@ def _trig_pair_checks(cfg: SuiteConfig, c: DiscreteImmersion, check, eps: float)
     basis = trig_basis(c.grid_n, max_mode)
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
     for (i, j), got in zip(pairs, calculus._pairwise(check, c, basis, pairs, eps)):
-        yield f"{names[i]},{names[j]}", functools.partial(_raise_or_return, got)
+        yield f"{names[i]},{names[j]}", got
 
 
 def _suite_bracket(cfg: SuiteConfig):
     c = make_curve(cfg)
     eps = cfg.eps or _DEFAULT_EPS["bracket"]
     tol = 1e-3 if cfg.ambient == PLANE else 1e-2
-
     # the numeric bracket also measures the normal leak; if a pair raised,
     # its leak is unknown and counts as infinite
-    leaks = []
-
-    def compute(pair):
-        leaks.append(np.inf)
-        value, leaks[-1] = pair()
-        return value
-
-    for case, pair in _trig_pair_checks(cfg, c, calculus._NormalPairs.bracket, eps):
-        yield case, "bracket_max_diff", tol, functools.partial(compute, pair)
-    yield "all pairs", "bracket_normal_leak", 1e-3, lambda: max(leaks, default=0.0)
+    worst_leak = 0.0
+    for case, got in _trig_pair_checks(cfg, c, calculus._NormalPairs.bracket, eps):
+        value, leak = (got, np.inf) if isinstance(got, Exception) else got
+        worst_leak = max(worst_leak, leak)
+        yield case, "bracket_max_diff", tol, value
+    yield "all pairs", "bracket_normal_leak", 1e-3, worst_leak
 
 
 def _suite_torsion(cfg: SuiteConfig):
     c = make_curve(cfg)
     eps = cfg.eps or _DEFAULT_EPS["torsion"]
     tol = 1e-3 if cfg.ambient == PLANE else 1e-2
-    for case, compute in _trig_pair_checks(cfg, c, calculus._NormalPairs.torsion, eps):
-        yield case, "torsion_defect", tol, compute
+    for case, got in _trig_pair_checks(cfg, c, calculus._NormalPairs.torsion, eps):
+        yield case, "torsion_defect", tol, got
 
 
 def _suite_variation(cfg: SuiteConfig):
@@ -322,28 +310,20 @@ def _suite_variation(cfg: SuiteConfig):
         return (closed - numeric).max_norm()
 
     for case, direction in directions.items():
-        yield case, "variation_max_diff", 1e-3, functools.partial(compute, direction)
+        yield case, "variation_max_diff", 1e-3, calculus._outcome(functools.partial(compute, direction))
 
 
 def _suite_spanning(cfg: SuiteConfig):
     c = make_curve(cfg)
     k = _modes(cfg)
-    reports = []
-
-    def rank_deficit():
-        reports.append(spanning.verify_spanning(c, k))
-        return 2 * c.grid_n - reports[0].rank
-
-    yield f"K={k}", "rank_deficit", 0.0, rank_deficit
-    if not reports:
-        return  # the spanning check raised; its one record says why
-    report = reports[0]
-
-    def sigma_ratio():
-        return report.sigma_max / report.sigma_min if report.sigma_min > 0 else np.inf
-
+    report = calculus._outcome(functools.partial(spanning.verify_spanning, c, k))
+    if isinstance(report, Exception):
+        yield f"K={k}", "rank_deficit", 0.0, report  # the one record says why
+        return
+    yield f"K={k}", "rank_deficit", 0.0, 2 * c.grid_n - report.rank
+    sigma_ratio = report.sigma_max / report.sigma_min if report.sigma_min > 0 else np.inf
     yield f"K={k}", "sigma_max_over_min", 1.0 / spanning.DEFAULT_RANK_TOL, sigma_ratio
-    yield f"K={k}", "normal_rank_deficit", 0.0, lambda: c.grid_n - report.normal_rank
+    yield f"K={k}", "normal_rank_deficit", 0.0, c.grid_n - report.normal_rank
 
 
 def _banded_tables(n: int) -> np.ndarray:
@@ -368,73 +348,48 @@ def _rel_l2(err: np.ndarray, ref: np.ndarray) -> float:
     return float(np.sqrt(err.dot(err)) / max(np.sqrt(ref.dot(ref)), 1.0))
 
 
-def _shared(compute):
-    """A compute for several checks that read one result: compute runs on
-    the first call only, and every call returns its result or raises its
-    error, so each of the checks records the error."""
-    outcome = []
-
-    def shared():
-        if not outcome:
-            try:
-                outcome.append((compute(), None))
-            except (NorbrackError, ValueError) as exc:
-                outcome.append((None, exc))
-        value, failure = outcome[0]
-        if failure is not None:
-            raise failure
-        return value
-
-    return shared
-
-
 def _suite_oneform(cfg: SuiteConfig):
     n = cfg.grid_n
-    rng = np.random.default_rng(cfg.seed)
     table = _banded_tables(n)
-    term_counts = []
+    draws = np.random.default_rng(cfg.seed).standard_normal((cfg.cases, len(table)))
 
-    def chunk_errors(rows):
-        # each row's reconstruction error and term count, bitwise as
+    def stage(s):
+        # each form's reconstruction error and term count, bitwise as
         # decompose_oneform and reconstruct give them
+        rows = _banded_rows(draws[s], table)
         recon, counts = oneforms._reconstruct_split(*oneforms._hodge_split(rows))
-        term_counts.extend(counts.tolist())
-        return [_rel_l2(err, want) for err, want in zip(recon - rows, rows)]
+        return [(_rel_l2(err, want), count) for err, want, count in zip(recon - rows, rows, counts.tolist())]
 
-    # the forms run as stacked chunks of rows; the first form of a chunk
-    # computes the chunk, and an error in it fails every form of the chunk
-    step = max(1, _CHUNK_BYTES // (8 * n))
-    for start in range(0, cfg.cases, step):
-        draws = rng.standard_normal((min(step, cfg.cases - start), len(table)))
-        chunk = _shared(functools.partial(chunk_errors, _banded_rows(draws, table)))
-        for i in range(len(draws)):
-            yield f"form{start + i}", "oneform_rel_l2", 1e-4, lambda i=i, chunk=chunk: chunk()[i]
-    yield "all forms", "term_count", 8.0, lambda: max(term_counts, default=0)
+    # the forms run as stacked chunks of rows; a chunk that raises runs
+    # again form by form, and a form that still raises counts no terms
+    most_terms = 0
+    for idx, got in enumerate(calculus._by_chunks(stage, cfg.cases, 8 * n)):
+        value, terms = (got, 0) if isinstance(got, Exception) else got
+        most_terms = max(most_terms, terms)
+        yield f"form{idx}", "oneform_rel_l2", 1e-4, value
+    yield "all forms", "term_count", 8.0, most_terms
 
     theta = theta_grid(n)
     window = (np.pi / 4.0, 3.0 * np.pi / 4.0)
     localized = oneforms.OneFormSamples(
         oneforms._bump((theta - np.pi / 2.0) / (np.pi / 6.0)) * np.cos(theta)
     )
-    # both checks read one decomposition; if it raises, both records error
-    decomposition = _shared(functools.partial(oneforms.decompose_supported, localized, window))
 
-    def compute_outside():
-        dec = decomposition()
+    def localized_values():
+        # both checks read one decomposition; if a step raises, both records error
+        dec = oneforms.decompose_supported(localized, window)
         offsets, length = oneforms._window_offsets(theta, *window)
         outside = ~((offsets > 0.0) & (offsets < length))
         worst = 0.0
         for _, a, b in dec.terms:
             worst = max(worst, np.abs(a.samples[outside]).max(), np.abs(b.samples[outside]).max())
-        return worst
-
-    def compute_supported():
-        dec = decomposition()
         recon = oneforms.reconstruct(dec, n)
-        return _rel_l2(recon.samples - localized.samples, localized.samples)
+        return worst, _rel_l2(recon.samples - localized.samples, localized.samples)
 
-    yield "localized form", "supported_outside_max", 0.0, compute_outside
-    yield "localized form", "supported_rel_l2", 1e-4, compute_supported
+    got = calculus._outcome(localized_values)
+    outside, supported = (got, got) if isinstance(got, Exception) else got
+    yield "localized form", "supported_outside_max", 0.0, outside
+    yield "localized form", "supported_rel_l2", 1e-4, supported
 
 
 def _suite_arc(cfg: SuiteConfig):
@@ -448,20 +403,21 @@ def _suite_arc(cfg: SuiteConfig):
     def leaf_invariant():
         return arclength.leaf_invariant(c, arclength.flow_arc(c, calculus.normal_field(cos1), 0.3))
 
-    yield "flow cos*n, t=0.3", "leaf_invariant", 1e-5, leaf_invariant
+    yield "flow cos*n, t=0.3", "leaf_invariant", 1e-5, calculus._outcome(leaf_invariant)
     pairs = [
         ("n,cos*n", calculus.normal_field(), calculus.normal_field(cos1)),
         ("cos*n,sin*n", calculus.normal_field(cos1), calculus.normal_field(sin1)),
         ("n,v", calculus.normal_field(), calculus.tangent_field()),
     ]
     for case, f1, f2 in pairs:
-        yield case, "frobenius_defect", 1e-3, functools.partial(arclength.frobenius_defect, c, f1, f2, eps)
+        defect = calculus._outcome(functools.partial(arclength.frobenius_defect, c, f1, f2, eps))
+        yield case, "frobenius_defect", 1e-3, defect
 
     def negative_control():
         drifted = arclength.flow_field(c, calculus.normal_field(cos3), 0.3)
         return 1e-2 - arclength.leaf_invariant(c, drifted)
 
-    yield "unprojected cos3*n control", "negative_control_slack", 0.0, negative_control
+    yield "unprojected cos3*n control", "negative_control_slack", 0.0, calculus._outcome(negative_control)
 
 
 _SUITE_CHECKS = {

@@ -262,18 +262,18 @@ def test_fields_are_bitwise_their_container_formulas(make_curve):
     cases = [(constant_field(w), ImmersionTangent(np.tile(w, (n, 1)), c))]
     if c.ambient == SPHERE:
         # one projection per value: the frame vectors as curves._frames
-        # computes them, scaled, then projected by a single tangent wrap;
-        # composites combine such tangents with the containers' arithmetic
+        # computes them, scaled and combined, then projected by a single
+        # tangent wrap
         _, _, v_raw, n_raw = _frames(c.ambient, c.points)
-        a_n = ImmersionTangent(n_raw * a.samples[:, None], c)
+        a_n = n_raw * a.samples[:, None]
         cases += [
             (normal_field(), ImmersionTangent(n_raw, c)),
             (tangent_field(), ImmersionTangent(v_raw, c)),
-            (normal_field(a), a_n),
+            (normal_field(a), ImmersionTangent(a_n, c)),
             (tangent_field(m), ImmersionTangent(v_raw * m.samples[:, None], c)),
             (normal_field(2.5), ImmersionTangent(n_raw * 2.5, c)),
-            (2.0 * normal_field(a) - tangent_field(), a_n * 2.0 - ImmersionTangent(v_raw, c)),
-            (-normal_field(a), a_n * -1.0),
+            (2.0 * normal_field(a) - tangent_field(), ImmersionTangent(a_n * 2.0 - v_raw, c)),
+            (-normal_field(a), ImmersionTangent(a_n * -1.0, c)),
         ]
     else:
         cases += [
@@ -295,7 +295,8 @@ def test_fields_are_bitwise_their_container_formulas(make_curve):
 
 def test_one_sphere_field_value_makes_one_projection(monkeypatch):
     # the field's wrap projects its value; the rule hands it the frame
-    # vector as _frames computed it
+    # vector as _frames computed it, and a composite's rule combines its
+    # operands' rules
     c = latitude_circle(64, 0.6)
     project = curves._project
     calls = []
@@ -306,7 +307,8 @@ def test_one_sphere_field_value_makes_one_projection(monkeypatch):
 
     for module in (curves, calculus):
         monkeypatch.setattr(module, "_project", counted)
-    for field in (normal_field(trig(np.cos, 1, 64)), normal_field()):
+    composite = 2.0 * normal_field(trig(np.cos, 1, 64)) - tangent_field()
+    for field in (normal_field(trig(np.cos, 1, 64)), normal_field(), composite):
         for evaluate in (lambda: field(c), lambda: field._velocity(c.ambient, c.points)):
             calls.clear()
             evaluate()

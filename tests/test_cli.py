@@ -464,35 +464,28 @@ def test_degenerate_curve_file_fails_every_check_without_traceback(suite, checks
 
 def test_run_checks_guards_and_records_in_order():
     cfg = SuiteConfig(suite="arc", grid_n=16, tolerances={"third": 5.0})
-    shared = {}
 
-    def first():
-        shared["first"] = 2.0
-        return 1.0
-
-    def second():
+    def bad_sample():
         raise ValueError("bad sample")
 
-    def checks():
-        yield "a", "first", 1.5, first
-        yield "b", "second", 0.0, second
-        # drawn only after the first compute returned
-        seen = shared["first"]
-        yield "c", "third", 1.0, lambda: seen
-
-    records = _run_checks(cfg, checks())
+    error = calculus._outcome(bad_sample)
+    assert isinstance(error, ValueError) and error.__traceback__ is None
+    checks = [("a", "first", 1.5, 1.0), ("b", "second", 0.0, error), ("c", "third", 1.0, 2.0)]
+    records = _run_checks(cfg, iter(checks))
     assert [(rec.suite, rec.grid_n) for rec in records] == [("arc", 16)] * 3
     assert [(rec.case, rec.metric, rec.value, rec.tolerance, rec.passed) for rec in records] == [
         ("a", "first", 1.0, 1.5, True),
         ("b [ValueError: bad sample]", "second", np.inf, 0.0, False),
         ("c", "third", 2.0, 5.0, True),
     ]
+    assert calculus._outcome(lambda: 3.0) == 3.0
 
     def lookup():
         return {}["missing"]
 
+    # only package errors and ValueErrors become outcomes
     with pytest.raises(KeyError):
-        _run_checks(cfg, iter([("d", "fourth", 0.0, lookup)]))
+        calculus._outcome(lookup)
 
 
 def test_module_invocation():
@@ -724,35 +717,49 @@ def test_oneform_suite_chunks_are_bitwise_the_per_form_reference(n, monkeypatch)
     import norbrack.cli as cli
 
     # three forms a chunk, so that the last of the 7 chunks is partial
-    monkeypatch.setattr(cli, "_CHUNK_BYTES", 3 * 8 * n)
+    monkeypatch.setattr(calculus, "_CHUNK_BYTES", 3 * 8 * n)
     records = run_suite(SuiteConfig(suite="oneform", grid_n=n, cases=7, seed=5))
     want, counts = oneform_reference(n, 7, 5)
     want.append(("all forms", "term_count", float(max(counts))))
     assert [(rec.case, rec.metric, rec.value) for rec in records[:8]] == want
 
 
-def test_oneform_suite_chunk_error_fails_every_form_of_the_chunk(monkeypatch):
-    import norbrack.cli as cli
-
-    want, counts = oneform_reference(16, 7, 5)
-    for idx in (3, 4, 5):
-        want[idx] = (f"form{idx} [ValueError: split failed]", "oneform_rel_l2", np.inf)
-    want.append(("all forms", "term_count", float(max(counts[:3] + counts[6:]))))
-    monkeypatch.setattr(cli, "_CHUNK_BYTES", 3 * 8 * 16)
+def failing_splits(monkeypatch, failing):
+    """Count the rows of each oneforms._hodge_split call, and raise on the
+    calls numbered in failing (from 1); three forms a chunk."""
+    monkeypatch.setattr(calculus, "_CHUNK_BYTES", 3 * 8 * 16)
     calls = []
     hodge_split = oneforms._hodge_split
 
-    def second_fails(rows):
+    def split(rows):
         calls.append(len(rows))
-        if len(calls) == 2:
+        if len(calls) in failing:
             raise ValueError("split failed")
         return hodge_split(rows)
 
-    monkeypatch.setattr(oneforms, "_hodge_split", second_fails)
+    monkeypatch.setattr(oneforms, "_hodge_split", split)
+    return calls
+
+
+def test_oneform_suite_chunk_error_runs_the_chunk_again_form_by_form(monkeypatch):
+    want, counts = oneform_reference(16, 7, 5)
+    want.append(("all forms", "term_count", float(max(counts))))
+    calls = failing_splits(monkeypatch, {2})
     records = run_suite(SuiteConfig(suite="oneform", grid_n=16, cases=7, seed=5))
     assert [(rec.case, rec.metric, rec.value) for rec in records[:8]] == want
-    # one split a chunk, then the localized form's
-    assert calls == [3, 3, 1, 1]
+    # the chunks, the failed chunk's forms one by one, then the localized form
+    assert calls == [3, 3, 1, 1, 1, 1, 1]
+
+
+def test_oneform_suite_form_that_still_raises_fails_alone(monkeypatch):
+    want, counts = oneform_reference(16, 7, 5)
+    want[4] = ("form4 [ValueError: split failed]", "oneform_rel_l2", np.inf)
+    want.append(("all forms", "term_count", float(max(counts[:4] + counts[5:]))))
+    # the second chunk, and form 4 on its own
+    calls = failing_splits(monkeypatch, {2, 4})
+    records = run_suite(SuiteConfig(suite="oneform", grid_n=16, cases=7, seed=5))
+    assert [(rec.case, rec.metric, rec.value) for rec in records[:8]] == want
+    assert calls == [3, 3, 1, 1, 1, 1, 1]
 
 
 def oneform_records():
