@@ -304,9 +304,13 @@ def bracket_numeric(
 # (n, m, d), with the per-pair path's expressions and checks in its order, the
 # frame vectors as _frames computes them, and one projection, _tangents, where
 # the per-pair path wraps a value in an ImmersionTangent; so every value is
-# bitwise equal to bracket_numeric, bracket_closed_form and torsion_defect.  A
-# stage that raises on a chunk runs again item by item (_by_chunks), so a pair
-# whose check raises gets the error that the per-pair functions raise for it.
+# bitwise equal to bracket_numeric, bracket_closed_form and torsion_defect.
+# The stacks are coordinate-major: laid out in memory as (d, m, n), so each
+# coordinate of each curve is one contiguous run of n samples, and the
+# elementwise kernels, which keep their inputs' memory order, run on those
+# runs.  A stage that raises on a chunk runs again item by item (_by_chunks),
+# so a pair whose check raises gets the error that the per-pair functions
+# raise for it.
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -371,6 +375,22 @@ def _by_chunks(stage, count: int, item_bytes: int) -> list:
     return out
 
 
+def _coordinate_major(a: np.ndarray) -> np.ndarray:
+    """a copy of a laid out in reverse axis order, so that axis 0, the
+    nodes, is innermost: each coordinate of an (n, d) curve, and each
+    column of an (n, K) block, becomes one contiguous run of n samples."""
+    return np.ascontiguousarray(a.T).T
+
+
+def _gather(stack: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """stack[:, i] of a coordinate-major stack, coordinate-major too: the
+    gather runs through the transpose, so it copies whole runs of n samples,
+    and np.take lays its result out as (d, m, n) (indexing would put the
+    curves outermost, as (m, d, n)), so each coordinate of the chunk is one
+    contiguous block."""
+    return np.take(stack.T, i, axis=1).T
+
+
 def _raise_first(errors: list, i: np.ndarray) -> None:
     """Raise afresh the stored error of the first function in i that has one."""
     for f in i.tolist():
@@ -394,10 +414,11 @@ def _pairs_working_set_bytes(n: int, max_mode: int, dim: int, suite: str = "tors
     torsion's four first-leg stacks (8 n (2K+1) dim bytes each, which a
     bracket run does not build), _PAIR_BYTES for each pair,
     twelve chunks of curves and eight curve-sized temporaries.  A chunk is
-    _CHUNK_BYTES of whole curves, or one curve where a curve is larger.
-    On torsion runs tracemalloc sees 9-11 chunk sizes beyond the rest at
-    n = 64 to 512, and 14-16 curve sizes at n = 4096 and 8192, where a
-    chunk is one curve.
+    _CHUNK_BYTES of whole curves, or one curve where a curve is larger.  On
+    torsion runs tracemalloc sees 7-9 chunk sizes beyond the state and the
+    pairs at n = 64 to 512, and 17.4-17.6 curve sizes at n = 4096 and 8192,
+    where a chunk is one curve (four of them the curve's points and frame
+    vectors, copied coordinate-major): 0.96-0.98 of this estimate.
     """
     functions = 2 * max_mode + 1
     pairs = functions * (functions - 1) // 2
@@ -417,18 +438,23 @@ class _NormalPairs:
     whose curve raised; a pair check raises it where it reaches the curve,
     as the per-pair functions do.  The methods take index arrays i, j of a
     chunk of pairs.
+
+    Every array, the curve's own as well as the stacks, is coordinate-major,
+    with the nodes innermost in memory: an elementwise kernel keeps a layout
+    only when all its operands share it.
     """
 
     def __init__(self, c: DiscreteImmersion, basis: list[PeriodicScalarField], eps: float):
         _check_step(c, eps)
         self.ambient = c.ambient
         self.eps = eps
-        self.points = c.points[:, None]
+        self.points = _coordinate_major(c.points)[:, None]
         _, s, v, n = c._geometry
-        self.tangent = v[:, None]
-        self.normal = n[:, None]
-        self.unit_normal = _tangents(c.ambient, c.points, n)[:, None]  # frame(c)[1], for the leak
-        self.coeffs = np.column_stack([f.samples for f in basis])
+        self.tangent = _coordinate_major(v)[:, None]
+        self.normal = _coordinate_major(n)[:, None]
+        # frame(c)[1], for the leak
+        self.unit_normal = _coordinate_major(_tangents(c.ambient, c.points, n))[:, None]
+        self.coeffs = np.stack([f.samples for f in basis]).T
         # arclen_deriv of every basis function, from one diff4
         self.derivs = _finite(diff4(self.coeffs) / s[:, None])
         self.perturbed = [self._curves(self._perturbed, step) for step in (eps, -eps)]
@@ -436,11 +462,11 @@ class _NormalPairs:
     def _curves(self, end, step: float) -> tuple[np.ndarray, np.ndarray, list]:
         """The curves end(k, step) gives for slices k of the basis functions,
         their normals, and each function's error (None where it raised none).
-        The stacks are shaped (n, K, d) with each curve's samples contiguous,
-        so that a chunk's gather stack[:, i] copies whole curves (7-12x
-        faster than from a C-ordered stack at n = 256 and 512)."""
+        The stacks are shaped (n, K, d) and coordinate-major, laid out as
+        (d, K, n), so that a chunk's _gather copies whole runs of n samples
+        and the kernels that take the gathered stacks run on those runs."""
         n, _, d = self.points.shape
-        points = np.empty((self.coeffs.shape[1], n, d)).transpose(1, 0, 2)
+        points = np.empty((d, self.coeffs.shape[1], n)).T
         normals = np.empty_like(points)
 
         def stage(k: slice) -> list:
@@ -478,7 +504,7 @@ class _NormalPairs:
 
         def field(points, normals, errors):
             _raise_first(errors, i)
-            return _normal_field(self.ambient, points[:, i], self.coeffs[:, j], normals[:, i])
+            return _normal_field(self.ambient, _gather(points, i), self.coeffs[:, j], _gather(normals, i))
 
         plus, minus = (field(*stack) for stack in self.perturbed)
         return _tangents(self.ambient, self.points, (plus - minus) / (2.0 * self.eps))
@@ -501,7 +527,7 @@ class _NormalPairs:
         def leg_x(step):
             points, normals, errors = self._first_legs[step]
             _raise_first(errors, i)
-            return points[:, i], lambda pts: _normal_field(self.ambient, pts, b, normals[:, i])
+            return _gather(points, i), lambda pts: _normal_field(self.ambient, pts, b, _gather(normals, i))
 
         delta = _commutator_delta(
             self.points,

@@ -106,8 +106,10 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-node cross product of 3-vectors, with np.cross's component
-    formula written into one output array, so the two are bitwise equal."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    formula written into one output array, so the two are bitwise equal.
+    The output is laid out in memory as a is, so that each component write
+    of a coordinate-major stack fills one contiguous run."""
+    out = np.empty_like(a, dtype=float, shape=np.broadcast_shapes(a.shape, b.shape))
     out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
     out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
     out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
@@ -118,11 +120,14 @@ def _frames(ambient: str, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     """(d_theta c, speed, v, n) of one curve, points shaped (n, d), or of m
     curves stacked as points shaped (n, m, d).
 
-    The one copy of the frame formula.  The coordinate axis stays last and
-    contiguous, so every per-node norm adds its terms in the same order for
-    a stack as for a single curve, and stacked frames are bitwise equal to
-    DiscreteImmersion's.  Raises ImmersionDegenerate when any curve of the
-    stack reaches the speed floor.
+    The one copy of the frame formula.  The coordinate axis stays last, and
+    _dot adds its components in a fixed left-to-right order whatever the
+    memory layout (in a coordinate-major stack that axis is the outermost in
+    memory), so every per-node norm adds its terms in the same order for a
+    stack as for a single curve, and stacked frames are bitwise equal to
+    DiscreteImmersion's.  Every output keeps the points' memory order.
+    Raises ImmersionDegenerate when any curve of the stack reaches the
+    speed floor.
     """
     deriv = diff4(points)
     s = _norm(deriv)

@@ -20,9 +20,11 @@ TWO_PI = 2.0 * np.pi
 # Stacked kernels (the batched pair checks, the oneform suite's random forms)
 # work on chunks at or below this size, 6 curves of n = 512 points on the
 # sphere; only state shared by the whole stack is held whole.  On a 2-core
-# VM, 72 KiB ran the oneform benchmark 16% faster than 36 KiB (wall_ref
-# 14.8 -> 12.4) for 0.7% more peak RSS; on the calc benchmark 144 KiB ran
-# slower than 72 KiB and raised peak RSS 2% more (37.7 -> 38.5 MiB).
+# VM, with coordinate-major pair stacks, the benchmark's wall_ref medians
+# at 36, 72 and 144 KiB were 62.0, 54.4 and 57.0 on calc (seeds 601-610;
+# 72 KiB ran faster in 10 of 10 pairs against 36 KiB and in 9 of 10 against
+# 144 KiB) and 8.40, 8.04 and 8.63 on oneform (seeds 601-605); 144 KiB
+# raised calc's peak RSS 1.8% (37.7 -> 38.4 MiB), and 36 KiB lowered it 0.9%.
 _CHUNK_BYTES = 72 * 2**10
 
 
@@ -42,7 +44,10 @@ def diff4(values: np.ndarray) -> np.ndarray:
 
     Exact (bitwise zero) on constant data because the forward and backward
     shifts cancel before any division happens.  The shifts are slices of one
-    copy padded by two rows of wrap-around at each end.
+    copy padded by two rows of wrap-around at each end.  np.concatenate lays
+    that copy out in memory as its inputs are, and elementwise ufuncs keep
+    their inputs' memory order, so the result keeps the input's (a
+    coordinate-major stack of curves stays coordinate-major).
     """
     a = np.asarray(values, dtype=float)
     n = a.shape[0]

@@ -375,6 +375,29 @@ BATCH_CURVES = {
 }
 
 
+@pytest.mark.parametrize("curve", ["ellipse", "latitude"])
+def test_pair_stacks_are_coordinate_major(curve, monkeypatch):
+    # every coordinate of every curve is one contiguous run of n samples: in
+    # the stacks, in a chunk's gather (where each coordinate of the chunk is
+    # one contiguous block), and in what the kernels make of them
+    c = BATCH_CURVES[curve]()
+    n, d = c.points.shape
+    # the stacks are filled two curves at a time, through strided slices
+    monkeypatch.setattr(calculus, "_CHUNK_BYTES", 2 * c.points.nbytes)
+    stack = calculus._NormalPairs(c, trig_basis(n, 3), 1e-4)
+    for points, normals, _ in (*stack.perturbed, *stack._first_legs.values()):
+        for arr in (points, normals):
+            assert arr.shape == (n, 7, d)
+            assert arr.T.flags.c_contiguous
+    i, j = np.array([4, 0, 6]), np.array([5, 1, 2])
+    gathered = calculus._gather(points, i)
+    assert np.array_equal(gathered, points[:, i])
+    assert gathered.T.flags.c_contiguous
+    for got in (stack._derivative(i, j), stack._closed_form(i, j), stack._flow_commutator(i, j)):
+        assert got.shape == (n, 3, d)
+        assert got.strides[0] == got.itemsize
+
+
 @pytest.mark.parametrize("modes, count", [(4, 36), (3, 21), (0, 0)])
 @pytest.mark.parametrize("curve", list(BATCH_CURVES))
 def test_batched_pairs_are_bitwise_equal_to_per_pair_loop(curve, modes, count, monkeypatch):

@@ -106,11 +106,18 @@ def test_component_kernels_match_numpy_bitwise(shape):
     rng = np.random.default_rng(11)
     a, b = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape) for _ in range(2))
     pairs = [(a, b), (a[::2], b[1::2])]  # contiguous, then strided slices
+    if len(shape) == 3:
+        # coordinate-major stacks, laid out as (d, m, n), as the batched pair
+        # checks hold them
+        pairs.append(tuple(np.ascontiguousarray(x.T).T for x in (a, b)))
     for x, y in pairs:
         assert np.array_equal(_dot(x, y), np.sum(x * y, axis=-1))
         assert np.array_equal(_norm(x), np.linalg.norm(x, axis=-1))
         if shape[-1] == 3:
-            assert np.array_equal(_cross(x, y), np.cross(x, y))
+            got = _cross(x, y)
+            assert np.array_equal(got, np.cross(x, y))
+            # laid out in memory as the operands are
+            assert np.argsort(got.strides).tolist() == np.argsort(x.strides).tolist()
     # broadcast operands, as when a stack is projected onto one curve's planes
     assert np.array_equal(_dot(a, b[:1]), np.sum(a * b[:1], axis=-1))
 

@@ -54,14 +54,31 @@ def _diff4_by_rolls(values):
         # the transposed (2K+1, n) trig block, as the spanning check passes it
         lambda rng: rng.standard_normal((2 * 32 + 1, 64)).T,
         lambda rng: rng.standard_normal((9, 8)).T,
+        # a coordinate-major (n, m, d) stack of curves, laid out as (d, m, n),
+        # as the batched pair checks hold them
+        lambda rng: rng.standard_normal((3, 7, 64)).T,
+        # a chunk of such a stack, a strided view
+        lambda rng: rng.standard_normal((3, 7, 64)).T[:, 2:5],
     ],
-    ids=["n", "n-2", "n-3", "8", "8-2", "trig-block-T", "trig-block-T-8"],
+    ids=[
+        "n",
+        "n-2",
+        "n-3",
+        "8",
+        "8-2",
+        "trig-block-T",
+        "trig-block-T-8",
+        "stack-coordinate-major",
+        "stack-coordinate-major-chunk",
+    ],
 )
 def test_diff4_is_bitwise_the_rolled_stencil(make):
     a = make(np.random.default_rng(3))
     got = diff4(a)
     assert got.shape == a.shape
     assert np.array_equal(got, _diff4_by_rolls(a))
+    # the output keeps the input's memory order: its axes sort by stride alike
+    assert np.argsort(got.strides).tolist() == np.argsort(a.strides).tolist()
 
 
 def test_diff4_symbol_is_shared_and_read_only():
