@@ -26,7 +26,7 @@ from .curves import (
     speed,
 )
 from .errors import GridMismatch
-from .fields import PeriodicScalarField, _check_samples, diff4, periodic_primitive
+from .fields import PeriodicScalarField, _check_samples, _primitive, _stencil, diff4
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,16 +59,35 @@ def _arc_projection(s: np.ndarray, v: np.ndarray, vectors: np.ndarray) -> np.nda
     rate u enters only as u * s = <diff4 h, v>, and both arclength means are
     sums weighted by s over the one sum of speeds (on a uniform grid the
     trapezoid rule of a periodic integrand reduces to plain sums).
+
+    The three passes share buffers allocated once per call: the wrap-padded
+    copy of h, (n + 4, d), refilled by three slice writes; the stencil output,
+    which fields._stencil fills as diff4 does; us, summed as _dot sums it; the
+    rfft bins and psi, which fields._primitive fills as periodic_primitive
+    does; and psi * v.  Each step runs the operations of diff4, _dot and
+    periodic_primitive in their order, so h is bitwise what calling them
+    gives.
     """
+    n, d = v.shape
     total = s.sum()
+    padded = np.empty((n + 4, d))
+    deriv = np.empty((n, d))
+    us = np.empty(n)
+    w = np.empty(n)
+    spec = np.empty(n // 2 + 1, dtype=complex)
+    psi = np.empty(n)
+    shift = np.empty_like(v)
     h = vectors
     for _ in range(3):
-        us = _dot(diff4(h), v)
-        w = (us.sum() / total) * s
+        padded[2:-2] = h
+        padded[:2] = h[-2:]
+        padded[-2:] = h[:2]
+        _dot(_stencil(padded, deriv), v, out=us)
+        np.multiply(us.sum() / total, s, out=w)
         w -= us
-        psi = periodic_primitive(w)
+        _primitive(w, spec, psi)
         psi -= psi.dot(s) / total
-        h = h + psi[:, None] * v
+        h = h + np.multiply(psi[:, None], v, out=shift)
     return h
 
 

@@ -402,7 +402,7 @@ def _raise_first(errors: list, i: np.ndarray) -> None:
 # index pair, its batched value, or an error without traceback that it may
 # share with other pairs, and its record.  tracemalloc reads 233-243 bytes
 # per pair at n = 256 and 512 with 64 and 128 modes.
-_PAIR_BYTES = 256
+_PAIR_RECORD_BYTES = 256
 
 
 def _pairs_working_set_bytes(n: int, max_mode: int, dim: int, suite: str = "torsion") -> int:
@@ -412,20 +412,21 @@ def _pairs_working_set_bytes(n: int, max_mode: int, dim: int, suite: str = "tors
     Counts the basis, its coefficient and derivative matrices, the four
     stacks of perturbed curves and normals that _NormalPairs holds whole,
     torsion's four first-leg stacks (8 n (2K+1) dim bytes each, which a
-    bracket run does not build), _PAIR_BYTES for each pair,
-    twelve chunks of curves and eight curve-sized temporaries.  A chunk is
-    _CHUNK_BYTES of whole curves, or one curve where a curve is larger.  On
-    torsion runs tracemalloc sees 7-9 chunk sizes beyond the state and the
-    pairs at n = 64 to 512, and 17.4-17.6 curve sizes at n = 4096 and 8192,
-    where a chunk is one curve (four of them the curve's points and frame
-    vectors, copied coordinate-major): 0.96-0.98 of this estimate.
+    bracket run does not build), _PAIR_RECORD_BYTES for each pair, the
+    curve's points and frame vectors that _NormalPairs copies
+    coordinate-major (four curve sizes), twelve chunks of curves and eight
+    curve-sized temporaries.  A chunk is _CHUNK_BYTES of whole curves, or one
+    curve where a curve is larger.  On torsion runs tracemalloc sees 7-9
+    chunk sizes beyond the state and the pairs at n = 64 to 512, and
+    17.4-17.6 curve sizes at n = 4096 and 8192, where a chunk is one curve
+    (four of them the coordinate-major copies): 0.90-0.94 of this estimate.
     """
     functions = 2 * max_mode + 1
     pairs = functions * (functions - 1) // 2
     curve = 8 * n * dim
     chunk = max(1, _CHUNK_BYTES // curve) * curve
     state = 8 * n * functions * ((8 if suite == "torsion" else 4) * dim + 3)
-    return state + _PAIR_BYTES * pairs + 12 * chunk + 8 * curve
+    return state + _PAIR_RECORD_BYTES * pairs + 4 * curve + 12 * chunk + 8 * curve
 
 
 class _NormalPairs:

@@ -154,8 +154,9 @@ def _working_set(cfg: SuiteConfig) -> tuple[int, str]:
     besides grid_n that the peak grows with, as the budget message names them.
 
     The arc and variation counts are curve-sized arrays (8 n bytes a
-    coordinate): tracemalloc reads 26 to 28 a coordinate for arc, and 21
-    (plane) to 23 (sphere) for variation, at n = 1024 to 16384.  oneform counts
+    coordinate): tracemalloc reads 26.5 to 27.4 a coordinate for arc (the
+    projection's buffers included), and 21 (plane) to 23 (sphere) for
+    variation, at n = 1024 to 16384.  oneform counts
     arrays of n floats (39 to 46 read at n = 8192 to 65536), eight chunks of
     forms as _CHUNK_BYTES sizes them, and for each case the bytes held until
     the run ends: its 21 draws, made up front, the tuple of its outcome (64

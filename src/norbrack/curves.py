@@ -84,15 +84,16 @@ def _check_points(ambient: str, pts: np.ndarray) -> None:
         raise ValueError(f"unknown ambient {ambient!r}")
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-node inner product over the last (coordinate) axis of length 2 or 3.
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-node inner product over the last (coordinate) axis of length 2 or 3,
+    into out where the caller gives it.
 
     The component products are added left to right, the order in which
     np.sum(a * b, axis=-1) adds them, so the two are bitwise equal; the
     right-associated sum is not.  Written out, it skips the reduction
     machinery that dominates on these short axes.
     """
-    out = a[..., 0] * b[..., 0]
+    out = np.multiply(a[..., 0], b[..., 0], out=out)
     for k in range(1, a.shape[-1]):
         out += a[..., k] * b[..., k]
     return out

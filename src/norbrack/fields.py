@@ -47,13 +47,25 @@ def diff4(values: np.ndarray) -> np.ndarray:
     copy padded by two rows of wrap-around at each end.  np.concatenate lays
     that copy out in memory as its inputs are, and elementwise ufuncs keep
     their inputs' memory order, so the result keeps the input's (a
-    coordinate-major stack of curves stays coordinate-major).
+    coordinate-major stack of curves stays coordinate-major).  The output is
+    allocated in that order too, and _stencil, the arithmetic that the arc
+    projection runs in its own buffers, fills it.
     """
     a = np.asarray(values, dtype=float)
-    n = a.shape[0]
-    h = TWO_PI / n
-    p = np.concatenate((a[-2:], a, a[:2]))
-    return (8.0 * (p[3 : n + 3] - p[1 : n + 1]) - (p[4:] - p[:n])) / (12.0 * h)
+    return _stencil(np.concatenate((a[-2:], a, a[:2])), np.empty_like(a))
+
+
+def _stencil(padded: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """diff4 of the n samples that padded holds between two rows of
+    wrap-around at each end, written into out (n rows): (p3 - p1) * 8, less
+    (p4 - p0), over 12 h, as in-place steps on out, so that the result is
+    bitwise the one expression they spell."""
+    n = out.shape[0]
+    np.subtract(padded[3 : n + 3], padded[1 : n + 1], out=out)
+    out *= 8.0
+    out -= padded[4:] - padded[:n]
+    out /= 12.0 * (TWO_PI / n)
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -91,15 +103,24 @@ def periodic_primitive(values: np.ndarray) -> np.ndarray:
     as separate samples, each bitwise as on its own.  The stencil has a
     two-dimensional kernel (constants and the alternating Nyquist mode), so
     those components of the input are unreachable and are dropped; the
-    returned primitive has zero grid mean.
+    returned primitive has zero grid mean.  _primitive, the arithmetic that
+    the arc projection runs in its own buffers, does the work here with
+    arrays that numpy allocates.
     """
     w = np.asarray(values, dtype=float)
+    _validate_grid_n(w.shape[0])
+    return _primitive(w)
+
+
+def _primitive(w: np.ndarray, spec: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """periodic_primitive of float samples w on a valid grid, along axis 0:
+    the rfft bins go into spec and the primitive into out, where the caller
+    gives them (the shapes and dtypes np.fft.rfft and irfft return)."""
     n = w.shape[0]
-    _validate_grid_n(n)
-    spec = np.fft.rfft(w, axis=0)
+    spec = np.fft.rfft(w, axis=0, out=spec)
     spec[1:-1] /= _primitive_divisor(n, w.ndim)
     spec[0] = spec[-1] = 0.0
-    return np.fft.irfft(spec, n, axis=0)
+    return np.fft.irfft(spec, n, axis=0, out=out)
 
 
 def _check_samples(arr: np.ndarray) -> None:

@@ -71,7 +71,7 @@ _PAIR_CHUNK = 2**15
 
 # Bytes a chunk holds per pair: its indices, modes, coefficients, row norms
 # and the four scattered entries with their row and column indices.
-_PAIR_BYTES = 256
+_SCATTERED_PAIR_BYTES = 256
 
 # Bytes a spanning run holds per node besides the bracket block: the curve,
 # its frame and the grid-sized arrays behind Q (tracemalloc reads 144 to 148
@@ -129,14 +129,15 @@ def working_set_bytes(n: int, max_mode: int) -> int:
     The bracket block, on m = min(4K + 1, n) coordinates, peaks at four m x m
     float arrays: Q and the index arrays that build it; then M, Q, LAPACK's
     copy of Q and its Cholesky root L; then L, L^T M and H.  Between those it
-    holds M, Q and one chunk of at most _PAIR_CHUNK pairs.  Next to them sit
+    holds M, Q and one chunk of at most _PAIR_CHUNK pairs, at
+    _SCATTERED_PAIR_BYTES a pair.  Next to them sit
     the curve, its frame and the grid-sized arrays behind Q, at _NODE_BYTES a
     node.  The normal block's spectrum is written down, not computed.
     """
     m = min(4 * max_mode + 1, n)
     p = 2 * max_mode + 1
     chunk = min(p * (p - 1) // 2, _PAIR_CHUNK)
-    return 8 * 4 * m * m + chunk * _PAIR_BYTES + n * _NODE_BYTES
+    return 8 * 4 * m * m + chunk * _SCATTERED_PAIR_BYTES + n * _NODE_BYTES
 
 
 def _trig_rows(n: int, max_mode: int) -> np.ndarray:

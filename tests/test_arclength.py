@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from norbrack import arclength
 from norbrack.arclength import (
     arc_defect,
     flow_arc,
@@ -455,3 +456,31 @@ def test_leaf_invariant_defect_on_the_ellipse_is_pinned():
     c = ellipse(n, 1.5, 0.7)
     value = leaf_invariant(c, flow_arc(c, normal_field(cos_field(1, n)), 0.3))
     assert 1.5e-5 <= value <= 1.7e-5
+
+
+def one_pass_projection(s, v, vectors):
+    """A mutant of the projection kernel: one pass of its loop, not three."""
+    total = np.sum(s)
+    us = np.sum(diff4(vectors) * v, axis=1)
+    psi = periodic_primitive((np.sum(us) / total) * s - us)
+    psi = psi - np.dot(psi, s) / total
+    return vectors + psi[:, None] * v
+
+
+def test_arc_suite_catches_a_one_pass_projection(monkeypatch):
+    # On the 1.5 x 0.7 ellipse at n = 512 the leaf invariant of the flowed
+    # cos*n reads 4.05e-7 with three passes and 1.26e-3 with one, against a
+    # tolerance of 1e-5.  The default run (the circle at n = 256) cannot
+    # catch this mutant: its record reads 5.4e-8 with one pass.  Nor does
+    # any record here catch a two-pass mutant, which reads 7.93e-6.
+    cfg = SuiteConfig(suite="arc", family="ellipse:1.5,0.7", grid_n=512)
+
+    def leaf_record():
+        (rec,) = [rec for rec in run_suite(cfg) if rec.metric == "leaf_invariant"]
+        return rec
+
+    assert leaf_record().passed
+    monkeypatch.setattr(arclength, "_arc_projection", one_pass_projection)
+    rec = leaf_record()
+    assert not rec.passed
+    assert rec.value > 100 * rec.tolerance

@@ -315,13 +315,13 @@ def test_bracket_working_set_estimate_bounds_the_traced_peak(ambient, grid_n, mo
 
 
 def test_bracket_is_not_charged_for_torsion_first_legs():
-    # about 741 MiB for bracket and 1191 MiB for torsion: the bracket run was
+    # about 741 MiB for bracket and 1192 MiB for torsion: the bracket run was
     # refused while both suites were charged torsion's first-leg stacks
     fields = {"grid_n": 4096, "modes": 600, "ambient": SPHERE}
     assert calculus._pairs_working_set_bytes(4096, 600, 3, "torsion") > spanning.WORKING_SET_BUDGET
     cfg = SuiteConfig(suite="bracket", **fields)
     assert validate_config(cfg) is cfg
-    with pytest.raises(ConfigInvalid, match="torsion at grid_n=4096, K=600 needs about 1191 MiB"):
+    with pytest.raises(ConfigInvalid, match="torsion at grid_n=4096, K=600 needs about 1192 MiB"):
         validate_config(SuiteConfig(suite="torsion", **fields))
 
 
