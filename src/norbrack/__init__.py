@@ -12,6 +12,7 @@ from .errors import (
     ImmersionDegenerate,
     NorbrackError,
     StepTooLarge,
+    StepTooSmall,
     SupportViolation,
 )
 from .fields import (

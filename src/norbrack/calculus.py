@@ -32,7 +32,7 @@ from .curves import (
     speed,
     split_tangent_normal,
 )
-from .errors import GridMismatch, NorbrackError, StepTooLarge
+from .errors import GridMismatch, NorbrackError, StepTooLarge, StepTooSmall
 from .fields import _CHUNK_BYTES, PeriodicScalarField, diff4
 
 
@@ -51,6 +51,12 @@ def _check_step(c: DiscreteImmersion, eps: float) -> None:
         raise ValueError("eps must be positive")
     if eps > 0.1 * speed(c).min():
         raise StepTooLarge(f"eps = {eps:g} exceeds a tenth of the minimum speed")
+    # at or below the spacing of floats at the largest coordinate, c + eps X
+    # rounds to c there, and a difference quotient of two rounded-away
+    # perturbations reads an exact 0 that passes any tolerance
+    spacing = np.spacing(np.abs(c.points).max())
+    if eps <= spacing:
+        raise StepTooSmall(f"eps = {eps:g} is at or below the float spacing {spacing:g} of the curve's points")
 
 
 def _lazy_frames(ambient: str, points: np.ndarray):

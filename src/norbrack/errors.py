@@ -25,6 +25,10 @@ class StepTooLarge(NorbrackError):
     """A finite-difference step is too large for the curve's speed scale."""
 
 
+class StepTooSmall(NorbrackError):
+    """A finite-difference step is lost to rounding in the curve's points."""
+
+
 class BasisTooLarge(NorbrackError):
     """More basis functions were requested than the grid can represent."""
 

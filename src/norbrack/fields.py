@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .errors import BasisTooLarge, GridMismatch
 
@@ -86,6 +87,11 @@ def diff4_symbol(n: int) -> np.ndarray:
     return lam
 
 
+# the core axes of _primitive's gufuncs: samples and bins along axis 0 of
+# the input and the output, and the scalar normalisation factor
+_AXES = [(0,), (), (0,)]
+
+
 @functools.lru_cache(maxsize=64)
 def _primitive_divisor(n: int, ndim: int) -> np.ndarray:
     """1j * lam on the bins periodic_primitive inverts (all but the mean and
@@ -115,12 +121,29 @@ def periodic_primitive(values: np.ndarray) -> np.ndarray:
 def _primitive(w: np.ndarray, spec: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """periodic_primitive of float samples w on a valid grid, along axis 0:
     the rfft bins go into spec and the primitive into out, where the caller
-    gives them (the shapes and dtypes np.fft.rfft and irfft return)."""
+    gives them (the shapes and dtypes np.fft.rfft and irfft return).
+
+    The two transforms call the pocketfft gufuncs that np.fft.rfft and irfft
+    end in, with the arguments numpy's _raw_fft passes them (fct 1 forward
+    and 1/n inverse, the transform along axis 0, and outputs allocated by
+    np.empty_like as _raw_fft allocates them, so in the input's memory
+    order); the result is bitwise the public functions', without their
+    per-call dispatch, norm, dtype and shape handling, which at n = 256
+    costs 2.5-4 us a transform, about half the transform itself.  That is
+    safe because the caller guarantees what those checks would: w is
+    float64 along an even grid (_validate_grid_n), so rfft_n_even is the
+    forward gufunc, and spec and out, when given, have the shapes and
+    dtypes above.
+    """
     n = w.shape[0]
-    spec = np.fft.rfft(w, axis=0, out=spec)
+    if spec is None:
+        spec = np.empty_like(w, shape=(n // 2 + 1,) + w.shape[1:], dtype=complex)
+    _pocketfft_umath.rfft_n_even(w, 1, axes=_AXES, out=spec)
     spec[1:-1] /= _primitive_divisor(n, w.ndim)
     spec[0] = spec[-1] = 0.0
-    return np.fft.irfft(spec, n, axis=0, out=out)
+    if out is None:
+        out = np.empty_like(spec, shape=w.shape, dtype=float)
+    return _pocketfft_umath.irfft(spec, 1.0 / n, axes=_AXES, out=out)
 
 
 def _check_samples(arr: np.ndarray) -> None:

@@ -32,7 +32,8 @@ from norbrack.curves import (
     random_fourier_curve,
     unit_circle,
 )
-from norbrack.errors import GridMismatch, StepTooLarge
+from norbrack.cli import SuiteConfig, run_suite
+from norbrack.errors import GridMismatch, StepTooLarge, StepTooSmall
 from norbrack.fields import PeriodicScalarField, theta_grid, trig_basis
 
 from conftest import wobbly_sphere_curve
@@ -67,6 +68,10 @@ def test_directional_derivative_step_validation():
         directional_derivative(normal_field(), c, v, 0.0)
     with pytest.raises(StepTooLarge):
         directional_derivative(normal_field(), c, v, 0.2)
+    # the circle's largest coordinate is 1, where floats are 2.2e-16 apart
+    with pytest.raises(StepTooSmall):
+        directional_derivative(normal_field(), c, v, np.spacing(1.0))
+    directional_derivative(normal_field(), c, v, 2.0 * np.spacing(1.0))
 
 
 def test_flow_commutator_rejects_nonpositive_eps():
@@ -421,3 +426,39 @@ def test_batched_pairs_are_bitwise_equal_to_per_pair_loop(curve, modes, count, m
         monkeypatch.setattr(calculus, "_CHUNK_BYTES", curves_a_chunk * c.points.nbytes)
         assert calculus._pairwise(calculus._NormalPairs.bracket, c, basis, pairs, 1e-5) == brackets
         assert calculus._pairwise(calculus._NormalPairs.torsion, c, basis, pairs, 1e-4) == torsions
+
+
+def suite_records(suite, metric):
+    return [rec for rec in run_suite(SuiteConfig(suite=suite)) if rec.metric == metric]
+
+
+def test_bracket_suite_catches_a_scaled_closed_form(monkeypatch):
+    # On the default run (the circle at n = 256, 36 pairs) the numeric and
+    # closed-form brackets agree to 8.0e-6.  A closed form scaled by 1 + 1e-3
+    # fails every record (worst 4.0e-3 against a tolerance of 1e-3); one
+    # scaled by 1 + 1e-4 fails none (worst 4.08e-4), a blind spot of the
+    # suite's tolerance, not of this test.
+    assert all(rec.passed for rec in suite_records("bracket", "bracket_max_diff"))
+    closed_form = calculus._NormalPairs._closed_form
+    monkeypatch.setattr(
+        calculus._NormalPairs, "_closed_form", lambda self, i, j: closed_form(self, i, j) * (1.0 + 1e-3)
+    )
+    records = suite_records("bracket", "bracket_max_diff")
+    assert len(records) == 36
+    assert not any(rec.passed for rec in records)
+
+
+def test_variation_suite_catches_a_dropped_curvature_term(monkeypatch):
+    # Without its curvature term the closed form is -D_s(p) v: on the
+    # default run it misses by 1.0 for h = v and 0.23 for h = random, and is
+    # still exact for h = n and h = cos*n, which have no tangential part.
+    assert all(rec.passed for rec in suite_records("variation", "variation_max_diff"))
+
+    def without_curvature(c, h):
+        v, _ = frame(c)
+        return v * -curves.arclen_deriv(c, curves.split_tangent_normal(c, h).normal_coeff)
+
+    monkeypatch.setattr(calculus, "variation_of_normal", without_curvature)
+    records = suite_records("variation", "variation_max_diff")
+    assert [rec.case for rec in records if not rec.passed] == ["h=v", "h=random"]
+    assert max(rec.value for rec in records) > 100 * records[0].tolerance

@@ -546,6 +546,30 @@ def test_step_too_large_records_match_per_pair_functions(suite):
     assert all(not rec.passed for rec in records)
 
 
+@pytest.mark.parametrize("family", ["circle", "ellipse:1.5,0.7"])
+@pytest.mark.parametrize("eps", [1e-20, 1e-300])
+@pytest.mark.parametrize(
+    "suite, metric", [("arc", "frobenius_defect"), ("variation", "variation_max_diff"), ("torsion", "torsion_defect")]
+)
+def test_a_step_lost_to_rounding_errors_every_difference_record(suite, metric, eps, family):
+    # c + eps X rounds to c at these steps, and the difference quotients of
+    # the unmoved curves read an exact 0: before StepTooSmall, every arc
+    # frobenius_defect record and the variation h=n record passed with value
+    # 0.0 here, and so did every torsion record at 1e-20 (at 1e-300 its
+    # eps^2 division gave a ValueError)
+    records = [rec for rec in run_suite(SuiteConfig(suite=suite, family=family, eps=eps)) if rec.metric == metric]
+    assert records
+    assert all("StepTooSmall" in rec.case and np.isinf(rec.value) and not rec.passed for rec in records)
+
+
+@pytest.mark.parametrize("suite", ["bracket", "torsion"])
+def test_step_too_small_records_match_per_pair_functions(suite):
+    cfg = SuiteConfig(suite=suite, grid_n=64, eps=1e-20)
+    records = run_suite(cfg)
+    assert [(rec.case, rec.value) for rec in records] == per_pair_records(suite, make_curve(cfg), 4, 1e-20)
+    assert all("StepTooSmall" in rec.case for rec in records if rec.metric != "bracket_normal_leak")
+
+
 # The 1.5 x 0.7 ellipse at n = 64 has minimum speed 0.6999978.  Normal
 # perturbations at bracket's eps = 1e-5 pinch it to 0.699979 where the
 # coefficient is 1 at theta = 0 (the constant and the cosines), and the flow

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from norbrack.errors import GridMismatch
 from norbrack.fields import (
     PeriodicScalarField,
+    _primitive,
     diff4,
     diff4_symbol,
     periodic_primitive,
@@ -127,14 +128,35 @@ def test_periodic_primitive_inverts_diff4():
     np.testing.assert_allclose(diff4(p), w, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [8, 256])
-def test_periodic_primitive_is_bitwise_the_division_into_a_zero_spectrum(n):
-    # random samples carry a mean and a Nyquist component, both dropped
-    w = np.random.default_rng(n).standard_normal(n)
-    spec = np.fft.rfft(w)
-    out = np.zeros_like(spec)
-    out[1:-1] = spec[1:-1] / (1j * diff4_symbol(n)[1:-1])
-    assert np.array_equal(periodic_primitive(w), np.fft.irfft(out, n))
+@pytest.mark.parametrize("n", [8, 10, 30, 256, 1000, 1024])
+def test_periodic_primitive_is_bitwise_the_division_into_a_zero_spectrum(n, monkeypatch):
+    # random samples carry a mean and a Nyquist component, both dropped; the
+    # public transforms are the reference for the gufuncs _primitive calls,
+    # on one sample, a C-ordered (n, 3) stack and an F-ordered one (the
+    # transposed view of a C-ordered (3, n) array, as the Hodge split passes)
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((n, 3))
+    inputs = [rng.standard_normal(n), stack, np.ascontiguousarray(stack.T).T]
+    wanted = []
+    for w in inputs:
+        spec = np.fft.rfft(w, axis=0)
+        spec[0] = spec[-1] = 0.0
+        spec[1:-1] /= (1j * diff4_symbol(n)[1:-1]).reshape((-1,) + (1,) * (w.ndim - 1))
+        wanted.append((spec, np.fft.irfft(spec, n, axis=0)))
+
+    def public_fft(*args, **kwargs):
+        raise AssertionError("_primitive called numpy.fft")
+
+    monkeypatch.setattr(np.fft, "rfft", public_fft)
+    monkeypatch.setattr(np.fft, "irfft", public_fft)
+    for w, (spec, want) in zip(inputs, wanted):
+        got = periodic_primitive(w)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
+        bins, out = np.empty_like(spec), np.empty_like(want)
+        assert _primitive(w, bins, out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(bins, spec)
 
 
 def test_field_requires_finite_samples():
