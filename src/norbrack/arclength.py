@@ -26,7 +26,7 @@ from .curves import (
     speed,
 )
 from .errors import GridMismatch
-from .fields import PeriodicScalarField, _check_samples, _primitive, _stencil, diff4
+from .fields import PeriodicScalarField, _check_samples, _primitive, _shifts, _stencil, diff4
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,51 +52,80 @@ def arc_defect(c: DiscreteImmersion, h: ImmersionTangent) -> ArcDefect:
     )
 
 
-def _arc_projection(s: np.ndarray, v: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """project_to_arc on arrays: speed s (n,), unit tangent v and vectors (n, d).
+class _ArcWorkspace:
+    """The arc projection's buffers for one grid shape (n, d), and the views
+    into them that its passes read and write, made once.
+
+    h lives in the interior of padded, between two rows of wrap-around at
+    each end, so a pass refreshes only those four rows.  The stencil's
+    p4 - p0 goes into shift and _dot's second product into w, each before
+    the pass writes its own values there.  A projected field owns one
+    workspace, so no two callers share buffers.
+    """
+
+    def __init__(self, n: int, d: int):
+        self.shape = (n, d)
+        self.padded = np.empty((n + 4, d))
+        self.h = self.padded[2:-2]
+        # the rows written before each pass, and the rows of h they copy
+        self.wrap = ((self.padded[:2], self.padded[n : n + 2]), (self.padded[-2:], self.padded[2:4]))
+        self.shifts = _shifts(self.padded)
+        self.deriv = np.empty((n, d))
+        self.us = np.empty(n)
+        self.w = np.empty(n)
+        self.spec = np.empty(n // 2 + 1, dtype=complex)
+        self.bins = self.spec[1:-1]
+        self.psi = np.empty(n)
+        self.shift = np.empty((n, d))
+        self.shift_columns = [self.shift[:, k] for k in range(d)]
+
+
+def _arc_projection(s: np.ndarray, v: np.ndarray, vectors: np.ndarray, work: _ArcWorkspace) -> np.ndarray:
+    """project_to_arc on arrays: speed s (n,), unit tangent v and vectors (n, d),
+    run in work, a workspace for (n, d).
 
     The one copy of the projection loop.  It never divides by s: the stretch
     rate u enters only as u * s = <diff4 h, v>, and both arclength means are
     sums weighted by s over the one sum of speeds (on a uniform grid the
     trapezoid rule of a periodic integrand reduces to plain sums).
 
-    The three passes share buffers allocated once per call: the wrap-padded
-    copy of h, (n + 4, d), refilled by three slice writes; the stencil output,
-    which fields._stencil fills as diff4 does; us, summed as _dot sums it; the
-    rfft bins and psi, which fields._primitive fills as periodic_primitive
-    does; and psi * v.  Each step runs the operations of diff4, _dot and
+    The vectors are copied once into the workspace, and the three passes
+    allocate nothing: fields._stencil fills the stencil output as diff4
+    does; us is summed as _dot sums it; fields._primitive fills the rfft
+    bins and psi as periodic_primitive does; h += psi * v updates h in
+    place.  Each step runs the operations of diff4, _dot and
     periodic_primitive in their order, so h is bitwise what calling them
-    gives.
+    gives.  The last pass returns h + psi * v, the one fresh array, so the
+    result never aliases the workspace and the input is left as it was.
     """
-    n, d = v.shape
     total = s.sum()
-    padded = np.empty((n + 4, d))
-    deriv = np.empty((n, d))
-    us = np.empty(n)
-    w = np.empty(n)
-    spec = np.empty(n // 2 + 1, dtype=complex)
-    psi = np.empty(n)
-    shift = np.empty_like(v)
-    h = vectors
-    for _ in range(3):
-        padded[2:-2] = h
-        padded[:2] = h[-2:]
-        padded[-2:] = h[:2]
-        _dot(_stencil(padded, deriv), v, out=us)
+    h, us, w, psi, shift = work.h, work.us, work.w, work.psi, work.shift
+    # psi * v column by column: broadcasting psi[:, None] against v makes
+    # numpy allocate an iterator buffer on every call
+    update = list(zip(v.T, work.shift_columns))
+    np.copyto(h, vectors)
+    for step in range(3):
+        for rows, source in work.wrap:
+            np.copyto(rows, source)
+        _dot(_stencil(work.shifts, work.deriv, shift), v, us, w)
         np.multiply(us.sum() / total, s, out=w)
         w -= us
-        _primitive(w, spec, psi)
+        _primitive(w, work.spec, psi, work.bins)
         psi -= psi.dot(s) / total
-        h = h + np.multiply(psi[:, None], v, out=shift)
-    return h
+        for column, out in update:
+            np.multiply(psi, column, out=out)
+        if step == 2:
+            return h + shift
+        h += shift
 
 
-def _checked_projection(geometry, vectors: np.ndarray) -> np.ndarray:
+def _checked_projection(geometry, vectors: np.ndarray, work: _ArcWorkspace) -> np.ndarray:
     """project_to_arc on a curve as a CurveField rule sees it: the check of
-    speed(c), then _arc_projection of the vectors along the unit tangent."""
+    speed(c), then _arc_projection of the vectors along the unit tangent,
+    in work."""
     _, s, v, _ = geometry()
     _check_samples(s)  # speed(c); v, and so frame(c), is finite where s is
-    return _arc_projection(s, v, vectors)
+    return _arc_projection(s, v, vectors, work)
 
 
 def project_to_arc(c: DiscreteImmersion, h: ImmersionTangent) -> ImmersionTangent:
@@ -110,19 +139,28 @@ def project_to_arc(c: DiscreteImmersion, h: ImmersionTangent) -> ImmersionTangen
     h (no data-dependent branching).  Three passes are not idempotent to
     rounding: for h = cos * n on the 1.5 x 0.7 ellipse at n = 128, the
     arc_defect norm is 2.1e-8 after one projection and 3.6e-14 after two
-    (six passes).
+    (six passes).  Each call builds a workspace for its one projection
+    (see _arc_projection); a flow of the projected field keeps one for all
+    its stages.
     """
     _check_attached(c, h)
-    vectors = _checked_projection(lambda: c._geometry, h.vectors)
+    vectors = _checked_projection(lambda: c._geometry, h.vectors, _ArcWorkspace(*h.vectors.shape))
     return ImmersionTangent(vectors, c)
 
 
 def _projected(field: CurveField) -> CurveField:
     """The field P[F]: c -> project_to_arc(c, F(c)), on the arrays of its
-    rule, so a flow of it builds no container."""
+    rule, so a flow of it builds no container.  The field owns one
+    workspace, built for the grid shape it is first evaluated on and built
+    again when the shape changes."""
+    work = None
 
     def rule(ambient: str, points: np.ndarray, geometry) -> np.ndarray:
-        return _checked_projection(geometry, field._vectors(ambient, points, geometry))
+        nonlocal work
+        vectors = field._vectors(ambient, points, geometry)
+        if work is None or work.shape != vectors.shape:
+            work = _ArcWorkspace(*vectors.shape)
+        return _checked_projection(geometry, vectors, work)
 
     return CurveField(rule, f"P[{field.name}]")
 

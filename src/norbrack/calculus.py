@@ -240,8 +240,7 @@ def flow_commutator(
     Averaging the loops run with +eps and -eps cancels the odd error term
     of the commutator expansion, leaving an O(eps^2) estimate of [X, Y].
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _check_step(c, eps)
     vx = functools.partial(x._velocity, c.ambient)
     vy = functools.partial(y._velocity, c.ambient)
     delta = _commutator_delta(

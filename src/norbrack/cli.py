@@ -154,8 +154,9 @@ def _working_set(cfg: SuiteConfig) -> tuple[int, str]:
     besides grid_n that the peak grows with, as the budget message names them.
 
     The arc and variation counts are curve-sized arrays (8 n bytes a
-    coordinate): tracemalloc reads 26.5 to 27.4 a coordinate for arc (the
-    projection's buffers included), and 21 (plane) to 23 (sphere) for
+    coordinate): tracemalloc reads 31.7 to 32.8 a coordinate for arc (the
+    workspaces of frobenius_defect's two projected fields included), and
+    21 (plane) to 23 (sphere) for
     variation, at n = 1024 to 16384.  oneform counts
     arrays of n floats (39 to 46 read at n = 8192 to 65536), eight chunks of
     forms as _CHUNK_BYTES sizes them, and for each case the bytes held until
@@ -172,7 +173,7 @@ def _working_set(cfg: SuiteConfig) -> tuple[int, str]:
         return calculus._pairs_working_set_bytes(n, k, dim, cfg.suite), f", K={k}"
     if cfg.suite == "oneform":
         return 8 * n * 48 + 8 * _CHUNK_BYTES + (8 * 21 + 64 + 256) * cfg.cases, f", cases={cfg.cases}"
-    return 8 * n * dim * 32, ""
+    return 8 * n * dim * 36, ""
 
 
 def _modes(cfg: SuiteConfig) -> int:

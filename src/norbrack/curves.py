@@ -84,9 +84,12 @@ def _check_points(ambient: str, pts: np.ndarray) -> None:
         raise ValueError(f"unknown ambient {ambient!r}")
 
 
-def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _dot(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Per-node inner product over the last (coordinate) axis of length 2 or 3,
-    into out where the caller gives it.
+    into out where the caller gives it, with each product after the first
+    written into scratch where the caller gives that (out's shape).
 
     The component products are added left to right, the order in which
     np.sum(a * b, axis=-1) adds them, so the two are bitwise equal; the
@@ -95,7 +98,7 @@ def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     """
     out = np.multiply(a[..., 0], b[..., 0], out=out)
     for k in range(1, a.shape[-1]):
-        out += a[..., k] * b[..., k]
+        out += np.multiply(a[..., k], b[..., k], out=scratch)
     return out
 
 

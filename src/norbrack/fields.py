@@ -53,19 +53,27 @@ def diff4(values: np.ndarray) -> np.ndarray:
     projection runs in its own buffers, fills it.
     """
     a = np.asarray(values, dtype=float)
-    return _stencil(np.concatenate((a[-2:], a, a[:2])), np.empty_like(a))
+    return _stencil(_shifts(np.concatenate((a[-2:], a, a[:2]))), np.empty_like(a))
 
 
-def _stencil(padded: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """diff4 of the n samples that padded holds between two rows of
-    wrap-around at each end, written into out (n rows): (p3 - p1) * 8, less
-    (p4 - p0), over 12 h, as in-place steps on out, so that the result is
-    bitwise the one expression they spell."""
-    n = out.shape[0]
-    np.subtract(padded[3 : n + 3], padded[1 : n + 1], out=out)
+def _shifts(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The views p0, p1, p3, p4 of padded that _stencil reads: the n samples
+    that padded holds between two rows of wrap-around at each end, shifted
+    by -2, -1, +1 and +2 rows."""
+    n = padded.shape[0] - 4
+    return padded[:n], padded[1 : n + 1], padded[3 : n + 3], padded[4:]
+
+
+def _stencil(shifts, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """diff4 of the padded samples whose _shifts are given, written into out
+    (n rows): (p3 - p1) * 8, less (p4 - p0), over 12 h, as in-place steps on
+    out, so that the result is bitwise the one expression they spell.
+    p4 - p0 goes into scratch where the caller gives it (out's shape)."""
+    p0, p1, p3, p4 = shifts
+    np.subtract(p3, p1, out=out)
     out *= 8.0
-    out -= padded[4:] - padded[:n]
-    out /= 12.0 * (TWO_PI / n)
+    out -= np.subtract(p4, p0, out=scratch)
+    out /= 12.0 * (TWO_PI / out.shape[0])
     return out
 
 
@@ -118,10 +126,13 @@ def periodic_primitive(values: np.ndarray) -> np.ndarray:
     return _primitive(w)
 
 
-def _primitive(w: np.ndarray, spec: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _primitive(
+    w: np.ndarray, spec: np.ndarray | None = None, out: np.ndarray | None = None, bins: np.ndarray | None = None
+) -> np.ndarray:
     """periodic_primitive of float samples w on a valid grid, along axis 0:
     the rfft bins go into spec and the primitive into out, where the caller
-    gives them (the shapes and dtypes np.fft.rfft and irfft return).
+    gives them (the shapes and dtypes np.fft.rfft and irfft return); bins,
+    where given, is the view spec[1:-1].
 
     The two transforms call the pocketfft gufuncs that np.fft.rfft and irfft
     end in, with the arguments numpy's _raw_fft passes them (fct 1 forward
@@ -138,8 +149,10 @@ def _primitive(w: np.ndarray, spec: np.ndarray | None = None, out: np.ndarray | 
     n = w.shape[0]
     if spec is None:
         spec = np.empty_like(w, shape=(n // 2 + 1,) + w.shape[1:], dtype=complex)
+    if bins is None:
+        bins = spec[1:-1]
     _pocketfft_umath.rfft_n_even(w, 1, axes=_AXES, out=spec)
-    spec[1:-1] /= _primitive_divisor(n, w.ndim)
+    bins /= _primitive_divisor(n, w.ndim)
     spec[0] = spec[-1] = 0.0
     if out is None:
         out = np.empty_like(spec, shape=w.shape, dtype=float)

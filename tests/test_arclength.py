@@ -1,5 +1,7 @@
 """Uniform-stretch deformations: defect, projection, flows, leaves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -317,6 +319,59 @@ def test_array_flows_are_bitwise_equal_to_the_container_loop(curve, n):
             assert np.array_equal(got.points, want.points), (name, flow.__name__)
 
 
+def test_a_reused_workspace_is_the_reference_bit_for_bit():
+    # one workspace per grid, three curves in a row through it: each result
+    # is the reference's, and neither it nor the inputs move when the next
+    # curve runs (the flow keeps k1..k4 across its stages)
+    for n in (8, 10, 64, 256, 512, 1000):
+        work = arclength._ArcWorkspace(n, 2)
+        curves = (unit_circle(n), ellipse(n, 1.5, 0.7), random_fourier_curve(2, n, min(6, n // 4), 3.0))
+        kept = []
+        for c in curves:
+            h = normal_times(cos_field(1, n))(c) + frame(c)[0] * cos_field(3, n)
+            s, v = speed(c).samples, frame(c)[0].vectors
+            inputs = (s, v, h.vectors)
+            copies = tuple(np.array(a) for a in inputs)
+            got = arclength._arc_projection(*inputs, work)
+            assert np.array_equal(got, reference_projection(c, h).vectors), (n, c)
+            for earlier, want in kept:
+                assert np.array_equal(earlier, want)
+            kept.append((got, np.array(got)))
+            for a, b in zip(inputs, copies):
+                assert np.array_equal(a, b)
+            assert not any(np.shares_memory(got, buf) for buf in vars(work).values() if isinstance(buf, np.ndarray))
+
+
+def test_a_warm_workspace_allocates_only_the_result(monkeypatch):
+    # A temporary freed within the call would not lift the call's peak above
+    # its result, so the peak is also read at each pass's _primitive call:
+    # an (n,) or (n, 2) temporary anywhere in the passes adds 32 or 64 KiB.
+    n = 4096
+    c = ellipse(n, 1.5, 0.7)
+    s, v = speed(c).samples, frame(c)[0].vectors
+    vectors = normal_times(cos_field(1, n))(c).vectors
+    work = arclength._ArcWorkspace(n, 2)
+    arclength._arc_projection(s, v, vectors, work)
+    primitive, peaks = arclength._primitive, []
+
+    def probed(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        tracemalloc.reset_peak()
+        return primitive(*args)
+
+    monkeypatch.setattr(arclength, "_primitive", probed)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = arclength._arc_projection(s, v, vectors, work)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 4
+    assert max(peaks[:3]) <= 4096
+    assert got.nbytes <= peaks[3] <= got.nbytes + 4096
+
+
 def division_projection(c, h):
     """The projection loop as it was before the division-free kernel: the
     stretch rate u = <diff4 h / s, v> and both means taken as sums of
@@ -458,7 +513,7 @@ def test_leaf_invariant_defect_on_the_ellipse_is_pinned():
     assert 1.5e-5 <= value <= 1.7e-5
 
 
-def one_pass_projection(s, v, vectors):
+def one_pass_projection(s, v, vectors, work):
     """A mutant of the projection kernel: one pass of its loop, not three."""
     total = np.sum(s)
     us = np.sum(diff4(vectors) * v, axis=1)
@@ -483,4 +538,5 @@ def test_arc_suite_catches_a_one_pass_projection(monkeypatch):
     monkeypatch.setattr(arclength, "_arc_projection", one_pass_projection)
     rec = leaf_record()
     assert not rec.passed
+    assert np.isfinite(rec.value)  # a value, not a mutant that failed to run
     assert rec.value > 100 * rec.tolerance

@@ -80,6 +80,20 @@ def test_flow_commutator_rejects_nonpositive_eps():
         flow_commutator(c, normal_field(), tangent_field(), -1e-4)
 
 
+def test_flow_commutator_rejects_a_step_lost_to_rounding():
+    # c + eps X rounds to c at eps = 1e-20 on the unit circle, so the loops
+    # do not move and the estimate read an exact 0.0 before the step check
+    c = unit_circle(64)
+    theta = theta_grid(64)
+    x, y = (normal_field(PeriodicScalarField(f(theta))) for f in (np.cos, np.sin))
+    for eps in (1e-17, 1e-20):
+        with pytest.raises(StepTooSmall):
+            flow_commutator(c, x, y, eps)
+    with pytest.raises(StepTooLarge):
+        flow_commutator(c, x, y, 0.2)
+    assert flow_commutator(c, x, y, 1e-4).max_norm() == 0.9999537866146089
+
+
 def test_torsion_defect_constants_plane():
     c = ellipse(128, 2.0, 1.0)
     x = constant_field((1.0, 0.0))
@@ -444,6 +458,22 @@ def test_bracket_suite_catches_a_scaled_closed_form(monkeypatch):
         calculus._NormalPairs, "_closed_form", lambda self, i, j: closed_form(self, i, j) * (1.0 + 1e-3)
     )
     records = suite_records("bracket", "bracket_max_diff")
+    assert len(records) == 36
+    assert not any(rec.passed for rec in records)
+
+
+def test_torsion_suite_catches_a_scaled_flow_commutator(monkeypatch):
+    # On the default run (the circle at n = 256, 36 pairs) the numeric
+    # bracket and the flow commutator agree to 3.8e-7.  A commutator scaled
+    # by 1 + 1e-3 fails every record (worst 4.0e-3 against a tolerance of
+    # 1e-3); one scaled by 1 + 1e-4 fails none (worst 4e-4), a blind spot of
+    # the suite's tolerance, not of this test.
+    assert all(rec.passed for rec in suite_records("torsion", "torsion_defect"))
+    commutator = calculus._NormalPairs._flow_commutator
+    monkeypatch.setattr(
+        calculus._NormalPairs, "_flow_commutator", lambda self, i, j: commutator(self, i, j) * (1.0 + 1e-3)
+    )
+    records = suite_records("torsion", "torsion_defect")
     assert len(records) == 36
     assert not any(rec.passed for rec in records)
 
