@@ -33,7 +33,7 @@ from .curves import (
     split_tangent_normal,
 )
 from .errors import GridMismatch, NorbrackError, StepTooLarge, StepTooSmall
-from .fields import _CHUNK_BYTES, PeriodicScalarField, diff4
+from .fields import PeriodicScalarField, diff4
 
 
 def _retract(ambient: str, points: np.ndarray) -> np.ndarray:
@@ -360,6 +360,17 @@ def _outcome(compute):
         return exc.with_traceback(None)
 
 
+# Stacked kernels (the batched pair checks, the oneform suite's random forms)
+# work on chunks at or below this size, 6 curves of n = 512 points on the
+# sphere; only state shared by the whole stack is held whole.  On a 2-core
+# VM, with coordinate-major pair stacks, the benchmark's wall_ref medians
+# at 36, 72 and 144 KiB were 62.0, 54.4 and 57.0 on calc (seeds 601-610;
+# 72 KiB ran faster in 10 of 10 pairs against 36 KiB and in 9 of 10 against
+# 144 KiB) and 8.40, 8.04 and 8.63 on oneform (seeds 601-605); 144 KiB
+# raised calc's peak RSS 1.8% (37.7 -> 38.4 MiB), and 36 KiB lowered it 0.9%.
+_CHUNK_BYTES = 72 * 2**10
+
+
 def _by_chunks(stage, count: int, item_bytes: int) -> list:
     """The _outcome of each item of range(count), in order: stage(s) runs
     over slices s holding about _CHUNK_BYTES of items each, and returns one
@@ -401,37 +412,6 @@ def _raise_first(errors: list, i: np.ndarray) -> None:
     for f in i.tolist():
         if errors[f] is not None:
             raise errors[f].with_traceback(None)
-
-
-# Bytes each pair of a bracket or torsion run holds until the run ends: its
-# index pair, its batched value, or an error without traceback that it may
-# share with other pairs, and its record.  tracemalloc reads 233-243 bytes
-# per pair at n = 256 and 512 with 64 and 128 modes.
-_PAIR_RECORD_BYTES = 256
-
-
-def _pairs_working_set_bytes(n: int, max_mode: int, dim: int, suite: str = "torsion") -> int:
-    """About the bytes a bracket or torsion run (suite) holds at its peak,
-    for the trig basis up to max_mode on n nodes in dim ambient coordinates.
-
-    Counts the basis, its coefficient and derivative matrices, the four
-    stacks of perturbed curves and normals that _NormalPairs holds whole,
-    torsion's four first-leg stacks (8 n (2K+1) dim bytes each, which a
-    bracket run does not build), _PAIR_RECORD_BYTES for each pair, the
-    curve's points and frame vectors that _NormalPairs copies
-    coordinate-major (four curve sizes), twelve chunks of curves and eight
-    curve-sized temporaries.  A chunk is _CHUNK_BYTES of whole curves, or one
-    curve where a curve is larger.  On torsion runs tracemalloc sees 7-9
-    chunk sizes beyond the state and the pairs at n = 64 to 512, and
-    17.4-17.6 curve sizes at n = 4096 and 8192, where a chunk is one curve
-    (four of them the coordinate-major copies): 0.90-0.94 of this estimate.
-    """
-    functions = 2 * max_mode + 1
-    pairs = functions * (functions - 1) // 2
-    curve = 8 * n * dim
-    chunk = max(1, _CHUNK_BYTES // curve) * curve
-    state = 8 * n * functions * ((8 if suite == "torsion" else 4) * dim + 3)
-    return state + _PAIR_RECORD_BYTES * pairs + 4 * curve + 12 * chunk + 8 * curve
 
 
 class _NormalPairs:

@@ -32,9 +32,17 @@ from .curves import (
     random_fourier_curve,
 )
 from .errors import BasisTooLarge, ConfigInvalid, GenerationFailed
-from .fields import _CHUNK_BYTES, PeriodicScalarField, _check_modes, theta_grid, trig_basis
+from .fields import PeriodicScalarField, _check_modes, theta_grid, trig_basis
 
 SUITES = ("bracket", "torsion", "variation", "spanning", "oneform", "arc")
+
+# Every metric some suite emits.  A tolerance may name any of them, not only
+# the running suite's, since one config file can serve several suites.
+METRICS = frozenset(
+    "bracket_max_diff bracket_normal_leak torsion_defect variation_max_diff rank_deficit sigma_max_over_min "
+    "normal_rank_deficit oneform_rel_l2 term_count supported_outside_max supported_rel_l2 leaf_invariant "
+    "frobenius_defect negative_control_slack".split()
+)
 
 _DEFAULT_EPS = {
     "bracket": 1e-5,
@@ -130,6 +138,10 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
     if not isinstance(cfg.tolerances, dict):
         raise ConfigInvalid("tolerances must be a mapping")
     for metric, value in cfg.tolerances.items():
+        if metric not in METRICS:
+            raise ConfigInvalid(
+                f"tolerance for unknown metric {metric!r}; choose from {', '.join(sorted(METRICS))}"
+            )
         if not _is_finite_number(value):
             raise ConfigInvalid(f"tolerance for {metric!r} must be a finite number, got {value!r}")
     if cfg.suite in ("spanning", "arc") and cfg.ambient != PLANE:
@@ -141,39 +153,79 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
         except BasisTooLarge as exc:
             raise ConfigInvalid(f"modes={k}: {exc}") from exc
     need, setting = _working_set(cfg)
-    if need > spanning.WORKING_SET_BUDGET:
+    if need > _WORKING_SET_BUDGET:
         raise ConfigInvalid(
             f"{cfg.suite} at grid_n={cfg.grid_n}{setting} needs about {need / 2**20:.0f} MiB, "
-            f"over the {spanning.WORKING_SET_BUDGET / 2**20:.0f} MiB budget"
+            f"over the {_WORKING_SET_BUDGET / 2**20:.0f} MiB budget"
         )
     return cfg
+
+
+# Largest working set (_working_set) a run may take.
+_WORKING_SET_BUDGET = 2**30
 
 
 def _working_set(cfg: SuiteConfig) -> tuple[int, str]:
     """About the bytes a run of cfg holds at its peak, and the settings
     besides grid_n that the peak grows with, as the budget message names them.
 
-    The arc and variation counts are curve-sized arrays (8 n bytes a
-    coordinate): tracemalloc reads 31.7 to 32.8 a coordinate for arc (the
-    workspaces of frobenius_defect's two projected fields included), and
-    21 (plane) to 23 (sphere) for
-    variation, at n = 1024 to 16384.  oneform counts
-    arrays of n floats (39 to 46 read at n = 8192 to 65536), eight chunks of
-    forms as _CHUNK_BYTES sizes them, and for each case the bytes held until
-    the run ends: its 21 draws, made up front, the tuple of its outcome (64
-    with its list slot), and its record (233 read at n = 64 and 1024).
-    tracemalloc reads 361 to 458 a case in all at n = 64 to 1024.
+    bracket and torsion, for the trig basis up to K on n nodes in dim
+    coordinates, count the basis, its coefficient and derivative matrices,
+    the four stacks of perturbed curves and normals that
+    calculus._NormalPairs holds whole, and torsion's four first-leg stacks
+    (8 n (2K+1) dim bytes each, which a bracket run does not build).  Each
+    pair holds 256 bytes until the run ends: its index pair, its batched
+    value, or an error without traceback that it may share with other
+    pairs, and its record (tracemalloc reads 233-243 at n = 256 and 512 with
+    64 and 128 modes).  Twelve curve sizes are the curve's points and frame
+    vectors copied coordinate-major (four) and eight temporaries, and twelve
+    chunks are of curves: a chunk is calculus._CHUNK_BYTES of whole curves,
+    or one curve where a curve is larger.  On torsion runs tracemalloc sees
+    7-9 chunk sizes beyond the state and the pairs at n = 64 to 512, and
+    17.4-17.6 curve sizes at n = 4096 and 8192, where a chunk is one curve:
+    0.90-0.94 of the estimate.  A bracket run on the sphere at n = 1024,
+    K = 32 reads 0.93-0.94.
+
+    spanning's bracket block, on m = min(4K + 1, n) coordinates, peaks at
+    four m x m float arrays: Q and the index arrays that build it; then M,
+    Q, LAPACK's copy of Q and its Cholesky root L; then L, L^T M and H.
+    Between those it holds M, Q and one chunk of at most
+    spanning._PAIR_CHUNK pairs, at 256 bytes a pair: its indices, modes,
+    coefficients, row norms and the four scattered entries with their row
+    and column indices.  Next to them sit the curve, its frame and the
+    grid-sized arrays behind Q, at 160 bytes a node (tracemalloc reads 144
+    to 148 over whole runs at n = 8192 to 262144).  The normal block's
+    spectrum is written down, not computed.
+
+    oneform counts arrays of n floats (39 to 46 read at n = 8192 to 65536),
+    eight chunks of forms as calculus._CHUNK_BYTES sizes them, and for each
+    case the bytes held until the run ends: its 21 draws, made up front,
+    the tuple of its outcome (64 with its list slot), and its record (233
+    read at n = 64 and 1024).  tracemalloc reads 361 to 458 a case in all
+    at n = 64 to 1024.
+
+    arc and variation count curve-sized arrays (8 n bytes a coordinate):
+    tracemalloc reads 31.7 to 32.8 a coordinate for arc (the workspaces of
+    frobenius_defect's two projected fields included), and 21 (plane) to 23
+    (sphere) for variation, at n = 1024 to 16384.
     """
     n, dim = cfg.grid_n, 2 if cfg.ambient == PLANE else 3
-    if cfg.suite == "spanning":
-        k = _modes(cfg)
-        return spanning.working_set_bytes(n, k), f", K={k}"
+    curve = 8 * n * dim
     if cfg.suite in ("bracket", "torsion"):
         k = _modes(cfg)
-        return calculus._pairs_working_set_bytes(n, k, dim, cfg.suite), f", K={k}"
+        functions = 2 * k + 1
+        chunk = max(1, calculus._CHUNK_BYTES // curve) * curve
+        state = 8 * n * functions * ((8 if cfg.suite == "torsion" else 4) * dim + 3)
+        return state + 256 * (functions * (functions - 1) // 2) + 12 * (curve + chunk), f", K={k}"
+    if cfg.suite == "spanning":
+        k = _modes(cfg)
+        m, pairs = min(4 * k + 1, n), k * (2 * k + 1)
+        return 32 * m * m + 256 * min(pairs, spanning._PAIR_CHUNK) + 160 * n, f", K={k}"
     if cfg.suite == "oneform":
-        return 8 * n * 48 + 8 * _CHUNK_BYTES + (8 * 21 + 64 + 256) * cfg.cases, f", cases={cfg.cases}"
-    return 8 * n * dim * 36, ""
+        return 8 * n * 48 + 8 * calculus._CHUNK_BYTES + (8 * 21 + 64 + 256) * cfg.cases, f", cases={cfg.cases}"
+    if cfg.suite in ("arc", "variation"):
+        return 36 * curve, ""
+    raise ValueError(f"no working-set estimate for the {cfg.suite} suite")
 
 
 def _modes(cfg: SuiteConfig) -> int:

@@ -18,17 +18,6 @@ from .errors import BasisTooLarge, GridMismatch
 
 TWO_PI = 2.0 * np.pi
 
-# Stacked kernels (the batched pair checks, the oneform suite's random forms)
-# work on chunks at or below this size, 6 curves of n = 512 points on the
-# sphere; only state shared by the whole stack is held whole.  On a 2-core
-# VM, with coordinate-major pair stacks, the benchmark's wall_ref medians
-# at 36, 72 and 144 KiB were 62.0, 54.4 and 57.0 on calc (seeds 601-610;
-# 72 KiB ran faster in 10 of 10 pairs against 36 KiB and in 9 of 10 against
-# 144 KiB) and 8.40, 8.04 and 8.63 on oneform (seeds 601-605); 144 KiB
-# raised calc's peak RSS 1.8% (37.7 -> 38.4 MiB), and 36 KiB lowered it 0.9%.
-_CHUNK_BYTES = 72 * 2**10
-
-
 def _validate_grid_n(n: int) -> None:
     if n < 8 or n % 2 != 0:
         raise ValueError(f"grid size must be even and >= 8, got {n}")

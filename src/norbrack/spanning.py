@@ -69,18 +69,6 @@ DEFAULT_RANK_TOL = 1e-8
 # bounded while the pair count grows like N^2.
 _PAIR_CHUNK = 2**15
 
-# Bytes a chunk holds per pair: its indices, modes, coefficients, row norms
-# and the four scattered entries with their row and column indices.
-_SCATTERED_PAIR_BYTES = 256
-
-# Bytes a spanning run holds per node besides the bracket block: the curve,
-# its frame and the grid-sized arrays behind Q (tracemalloc reads 144 to 148
-# over whole runs at n = 8192 to 262144).
-_NODE_BYTES = 160
-
-# Largest working set (working_set_bytes) a spanning check may take.
-WORKING_SET_BUDGET = 2**30
-
 
 @dataclass(frozen=True, eq=False)
 class SpanReport:
@@ -121,23 +109,6 @@ class SpanReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
-
-
-def working_set_bytes(n: int, max_mode: int) -> int:
-    """Bytes a spanning run holds at once on n nodes up to max_mode.
-
-    The bracket block, on m = min(4K + 1, n) coordinates, peaks at four m x m
-    float arrays: Q and the index arrays that build it; then M, Q, LAPACK's
-    copy of Q and its Cholesky root L; then L, L^T M and H.  Between those it
-    holds M, Q and one chunk of at most _PAIR_CHUNK pairs, at
-    _SCATTERED_PAIR_BYTES a pair.  Next to them sit
-    the curve, its frame and the grid-sized arrays behind Q, at _NODE_BYTES a
-    node.  The normal block's spectrum is written down, not computed.
-    """
-    m = min(4 * max_mode + 1, n)
-    p = 2 * max_mode + 1
-    chunk = min(p * (p - 1) // 2, _PAIR_CHUNK)
-    return 8 * 4 * m * m + chunk * _SCATTERED_PAIR_BYTES + n * _NODE_BYTES
 
 
 def _trig_rows(n: int, max_mode: int) -> np.ndarray:
@@ -255,7 +226,7 @@ def _bracket_sigma(c: DiscreteImmersion, max_mode: int) -> np.ndarray:
     if reached.size < m:
         gram = gram[np.ix_(reached, reached)]
         q = q[np.ix_(reached, reached)]
-    # each m x m array is dropped once used; working_set_bytes counts the rest
+    # each m x m array is dropped once used; cli._working_set counts the rest
     root = np.linalg.cholesky(q)
     del q
     h = root.T @ gram

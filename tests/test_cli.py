@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import band_limited
+import norbrack.cli as cli
 import norbrack.curves as curves
-from norbrack import calculus, oneforms, spanning
+from norbrack import calculus, oneforms
 from norbrack.cli import (
     _DEFAULT_EPS,
     SUITES,
@@ -105,6 +106,23 @@ def test_validate_config_rejections(bad, tmp_path, capsys):
     path = write_config(tmp_path, **bad)
     assert main([bad["suite"], "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_misspelled_tolerance_is_config_error(tmp_path, capsys):
+    # a tolerance for a metric that no suite emits was ignored: this run
+    # kept the default 1e-3 and exited 0
+    path = write_config(tmp_path, suite="variation", grid_n=64, tolerances={"variation_max_dif": 1e-30})
+    assert main(["variation", "--config", path]) == 2
+    assert "config error: tolerance for unknown metric 'variation_max_dif'" in capsys.readouterr().err
+
+
+def test_tolerances_name_exactly_the_metrics_the_suites_emit(tmp_path):
+    emitted = {rec.metric for suite in SUITES for rec in run_suite(SuiteConfig(suite=suite, grid_n=16, cases=2))}
+    assert emitted == cli.METRICS
+    # one config file serves every suite, whichever suite's metrics it sets
+    path = write_config(tmp_path, suite="bracket", grid_n=16, tolerances=dict.fromkeys(cli.METRICS, 1.0))
+    for suite in SUITES:
+        assert main([suite, "--config", path]) in (0, 1)
 
 
 def test_make_curve_families():
@@ -236,8 +254,6 @@ def test_spanning_suite_one_mode_short_fails(tmp_path):
 def test_oversized_spanning_grid_is_config_error_before_any_work(monkeypatch, capsys):
     # the default K = n/2 at n = 65536 would need tens of GiB; the guard must
     # refuse it at validation, before a curve or a generator is built
-    import norbrack.cli as cli
-
     def never(*args, **kwargs):
         raise AssertionError("spanning work started")
 
@@ -262,8 +278,6 @@ def test_default_spanning_grid_is_within_budget():
 def test_oversized_pair_basis_is_config_error_before_any_work(tmp_path, monkeypatch, capsys, suite):
     # 4097 trig functions on 4096 nodes: the stacks of perturbed curves alone
     # would hold 1.4 GiB, and 8.4 million pairs would follow
-    import norbrack.cli as cli
-
     def never(*args, **kwargs):
         raise AssertionError("pair work started")
 
@@ -282,43 +296,11 @@ def test_default_and_benchmark_pair_configs_are_within_budget(suite, grid_n, amb
     assert validate_config(cfg) is cfg
 
 
-# many pairs on a small grid, and few pairs on grids where a chunk is one pair
-@pytest.mark.parametrize(
-    "suite, ambient, grid_n, modes",
-    [("bracket", SPHERE, 64, 16), ("torsion", PLANE, 64, 16), ("bracket", PLANE, 8192, 2), ("torsion", SPHERE, 4096, 4)],
-)
-def test_pair_working_set_estimate_bounds_the_traced_peak(suite, ambient, grid_n, modes):
-    cfg = SuiteConfig(suite=suite, grid_n=grid_n, modes=modes, ambient=ambient)
-    tracemalloc.start()
-    try:
-        run_suite(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    need = calculus._pairs_working_set_bytes(grid_n, modes, 2 if ambient == PLANE else 3)
-    assert need / 2 < peak <= need
-
-
-# a bracket run builds none of torsion's first-leg stacks; on the sphere at
-# n = 1024, K = 32 tracemalloc reads 0.94 of the bracket estimate
-@pytest.mark.parametrize("ambient, grid_n, modes", [(SPHERE, 1024, 32), (PLANE, 8192, 2)])
-def test_bracket_working_set_estimate_bounds_the_traced_peak(ambient, grid_n, modes):
-    cfg = SuiteConfig(suite="bracket", grid_n=grid_n, modes=modes, ambient=ambient)
-    tracemalloc.start()
-    try:
-        run_suite(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    need = calculus._pairs_working_set_bytes(grid_n, modes, 2 if ambient == PLANE else 3, "bracket")
-    assert need / 2 < peak <= need
-
-
 def test_bracket_is_not_charged_for_torsion_first_legs():
     # about 741 MiB for bracket and 1192 MiB for torsion: the bracket run was
     # refused while both suites were charged torsion's first-leg stacks
     fields = {"grid_n": 4096, "modes": 600, "ambient": SPHERE}
-    assert calculus._pairs_working_set_bytes(4096, 600, 3, "torsion") > spanning.WORKING_SET_BUDGET
+    assert cli._working_set(SuiteConfig(suite="torsion", **fields))[0] > cli._WORKING_SET_BUDGET
     cfg = SuiteConfig(suite="bracket", **fields)
     assert validate_config(cfg) is cfg
     with pytest.raises(ConfigInvalid, match="torsion at grid_n=4096, K=600 needs about 1192 MiB"):
@@ -328,8 +310,6 @@ def test_bracket_is_not_charged_for_torsion_first_legs():
 @pytest.mark.parametrize("suite", ["oneform", "arc", "variation"])
 def test_oversized_grid_is_config_error_before_any_work(monkeypatch, capsys, suite):
     # one array of 2**34 nodes alone is 128 GiB
-    import norbrack.cli as cli
-
     def never(*args, **kwargs):
         raise AssertionError("suite work started")
 
@@ -342,8 +322,6 @@ def test_oversized_grid_is_config_error_before_any_work(monkeypatch, capsys, sui
 
 def test_oneform_case_count_is_bounded(tmp_path, monkeypatch, capsys):
     # each case keeps its record until the run ends
-    import norbrack.cli as cli
-
     def never(*args, **kwargs):
         raise AssertionError("oneform work started")
 
@@ -371,9 +349,44 @@ def test_default_and_benchmark_configs_are_within_budget():
         assert validate_config(cfg) is cfg
 
 
+# Each suite's working-set estimate on one or more configs, with the settings
+# its budget message names; a change to an estimate must show here.
+@pytest.mark.parametrize(
+    "fields, need, setting",
+    [
+        ({"suite": "bracket"}, 1_145_856, ", K=4"),
+        ({"suite": "torsion"}, 1_293_312, ", K=4"),
+        ({"suite": "bracket", "ambient": SPHERE, "grid_n": 1024, "modes": 32}, 9_699_328, ", K=32"),
+        ({"suite": "torsion", "ambient": SPHERE, "grid_n": 4096, "modes": 4}, 10_331_136, ", K=4"),
+        ({"suite": "torsion", "ambient": SPHERE, "grid_n": 4096, "modes": 600}, 1_249_400_832, ", K=600"),
+        ({"suite": "bracket", "ambient": SPHERE, "grid_n": 4096, "modes": 600}, 777_148_416, ", K=600"),
+        ({"suite": "variation"}, 147_456, ""),
+        ({"suite": "variation", "ambient": SPHERE, "grid_n": 4096}, 3_538_944, ""),
+        ({"suite": "arc"}, 147_456, ""),
+        ({"suite": "arc", "grid_n": 4096}, 2_359_296, ""),
+        ({"suite": "oneform"}, 697_888, ", cases=20"),
+        ({"suite": "oneform", "grid_n": 64, "cases": 4000}, 2_566_400, ", cases=4000"),
+        ({"suite": "spanning"}, 10_526_720, ", K=128"),
+        ({"suite": "spanning", "grid_n": 65536, "modes": 3}, 10_496_544, ", K=3"),
+        ({"suite": "spanning", "grid_n": 512, "modes": 256}, 16_859_136, ", K=256"),
+    ],
+)
+def test_working_set_estimates_are_pinned(fields, need, setting):
+    assert cli._working_set(SuiteConfig(**fields)) == (need, setting)
+
+
+# The pair configs hold many pairs on a small grid, or few pairs on grids
+# where a chunk is one curve.  Warm, tracemalloc reads 0.67 (bracket) and
+# 0.82 (torsion) of the estimate at n = 64, K = 16, 0.81 for bracket in the
+# plane at n = 8192, and 0.93-0.94 on the sphere at n = 1024 and 4096.
 @pytest.mark.parametrize(
     "fields",
     [
+        {"suite": "bracket", "ambient": SPHERE, "grid_n": 64, "modes": 16},
+        {"suite": "torsion", "grid_n": 64, "modes": 16},
+        {"suite": "bracket", "grid_n": 8192, "modes": 2},
+        {"suite": "torsion", "ambient": SPHERE, "grid_n": 4096, "modes": 4},
+        {"suite": "bracket", "ambient": SPHERE, "grid_n": 1024, "modes": 32},
         {"suite": "oneform", "grid_n": 8192, "cases": 1},
         {"suite": "oneform", "grid_n": 64, "cases": 4000},
         {"suite": "variation", "grid_n": 16384},
@@ -383,8 +396,6 @@ def test_default_and_benchmark_configs_are_within_budget():
     ],
 )
 def test_working_set_estimate_bounds_the_traced_peak(fields):
-    import norbrack.cli as cli
-
     cfg = SuiteConfig(**fields)
     run_suite(cfg)  # a warm run: one-time imports and caches do not count
     tracemalloc.start()
@@ -651,7 +662,7 @@ def test_stored_pair_errors_keep_no_arrays_alive(suite, floor, count, monkeypatc
     finally:
         tracemalloc.stop()
     assert sum("ImmersionDegenerate" in rec.case for rec in records) == count
-    assert peak <= calculus._pairs_working_set_bytes(256, 24, 2, suite)
+    assert peak <= cli._working_set(cfg)[0]
 
 
 def test_bracket_runs_build_no_first_legs(monkeypatch):
@@ -695,8 +706,6 @@ def banded_rows_loop(draws, n):
 
 def banded_cases(n):
     """(draws, table) pairs on n nodes: 1 to 37 forms, draws scaled over 1e-3 to 1e3."""
-    import norbrack.cli as cli
-
     rng = np.random.default_rng(n)
     table = cli._banded_tables(n)
     for m in (1, 2, 9, 36, 37):
@@ -706,8 +715,6 @@ def banded_cases(n):
 
 @pytest.mark.parametrize("n", [8, 16, 256, 1024, 2048])
 def test_banded_rows_are_bitwise_the_left_to_right_loop(n):
-    import norbrack.cli as cli
-
     for draws, table in banded_cases(n):
         assert np.array_equal(cli._banded_rows(draws, table), banded_rows_loop(draws, n)), draws.shape
 
@@ -725,8 +732,6 @@ def test_blas_product_is_not_the_left_to_right_loop():
 
 def test_rel_l2_is_bitwise_the_norm_quotient():
     # a reordered sum of squares (np.sum(err * err)) moves about one value in five
-    import norbrack.cli as cli
-
     rng = np.random.default_rng(3)
     for n in (16, 256, 1024):
         for scale in (1e-16, 1e-3, 1.0, 1e3):
@@ -738,8 +743,6 @@ def test_rel_l2_is_bitwise_the_norm_quotient():
 
 @pytest.mark.parametrize("n", [16, 256])
 def test_oneform_suite_chunks_are_bitwise_the_per_form_reference(n, monkeypatch):
-    import norbrack.cli as cli
-
     # three forms a chunk, so that the last of the 7 chunks is partial
     monkeypatch.setattr(calculus, "_CHUNK_BYTES", 3 * 8 * n)
     records = run_suite(SuiteConfig(suite="oneform", grid_n=n, cases=7, seed=5))

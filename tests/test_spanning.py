@@ -8,6 +8,7 @@ import pytest
 
 from norbrack import spanning
 from norbrack.calculus import bracket_closed_form
+from norbrack.cli import SuiteConfig, run_suite
 from norbrack.curves import (
     ellipse,
     frame,
@@ -242,6 +243,30 @@ def test_unreached_modes_are_exact_zeros():
     assert np.all(report.singular_values[report.rank :] == 0.0)
 
 
+def test_spanning_suite_catches_a_dropped_difference_term(monkeypatch):
+    # _coordinate runs twice per pair chunk, for each bracket's a + b term
+    # and then its a - b term.  With every a - b coefficient zero, the
+    # default run (the circle at n = 256, K = 128) reads rank_deficit 1.0
+    # and sigma_max_over_min inf; unpatched they read 0.0 and 15.91.  Blind
+    # spots: on the circle the speed is constant, so an unweighted
+    # _weighted_gram passes every record, and so does a fold that drops the
+    # sign of a negative frequency (abs(freq)); both read 15.9107801.
+    cfg = SuiteConfig(suite="spanning")
+    assert all(rec.passed for rec in run_suite(cfg))
+    coordinate, calls = spanning._coordinate, []
+
+    def without_difference_term(n, m, freq, sine, coeff):
+        calls.append(freq)
+        index, coeff = coordinate(n, m, freq, sine, coeff)
+        return index, coeff if len(calls) % 2 else np.zeros_like(coeff)
+
+    monkeypatch.setattr(spanning, "_coordinate", without_difference_term)
+    values = {rec.metric: (rec.value, rec.passed) for rec in run_suite(cfg)}
+    assert values["rank_deficit"] == (1.0, False)
+    assert values["sigma_max_over_min"] == (np.inf, False)
+    assert len(calls) == 4  # two chunks of pairs
+
+
 def peak_rss_rise(script):
     """Bytes of peak RSS the script's measured call adds, and its bound, as
     the script prints them."""
@@ -259,12 +284,13 @@ def test_working_set_bound_holds_for_the_measured_peak():
     script = """
 import resource
 from norbrack.curves import ellipse
-from norbrack.spanning import verify_spanning, working_set_bytes
+from norbrack.cli import SuiteConfig, _working_set
+from norbrack.spanning import verify_spanning
 verify_spanning(ellipse(16, 1.5, 0.7), 8)  # load LAPACK and its buffers first
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 verify_spanning(ellipse(512, 1.5, 0.7), 256)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print((after - before) * 1024, working_set_bytes(512, 256))
+print((after - before) * 1024, _working_set(SuiteConfig("spanning", grid_n=512, modes=256))[0])
 """
     rise, bound = peak_rss_rise(script)
     assert 0 < rise <= bound
@@ -276,12 +302,13 @@ def test_few_modes_on_a_fine_grid_take_a_small_block():
     script = """
 import resource
 from norbrack.curves import unit_circle
-from norbrack.spanning import verify_spanning, working_set_bytes
+from norbrack.cli import SuiteConfig, _working_set
+from norbrack.spanning import verify_spanning
 verify_spanning(unit_circle(16), 3)  # load LAPACK and its buffers first
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 verify_spanning(unit_circle(2048), 3)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print((after - before) * 1024, working_set_bytes(2048, 3))
+print((after - before) * 1024, _working_set(SuiteConfig("spanning", grid_n=2048, modes=3))[0])
 """
     rise, bound = peak_rss_rise(script)
     assert rise <= 4 * 2**20
