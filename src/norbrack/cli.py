@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -23,33 +24,28 @@ from .curves import (
     PLANE,
     SPHERE,
     DiscreteImmersion,
+    _load_curve_csv,
     circle,
     ellipse,
     frame,
     great_circle,
     latitude_circle,
-    load_curve_csv,
     random_fourier_curve,
 )
 from .errors import BasisTooLarge, ConfigInvalid, GenerationFailed
 from .fields import PeriodicScalarField, _check_modes, theta_grid, trig_basis
 
-SUITES = ("bracket", "torsion", "variation", "spanning", "oneform", "arc")
 
-# Every metric some suite emits.  A tolerance may name any of them, not only
-# the running suite's, since one config file can serve several suites.
-METRICS = frozenset(
-    "bracket_max_diff bracket_normal_leak torsion_defect variation_max_diff rank_deficit sigma_max_over_min "
-    "normal_rank_deficit oneform_rel_l2 term_count supported_outside_max supported_rel_l2 leaf_invariant "
-    "frobenius_defect negative_control_slack".split()
-)
+@dataclass(frozen=True)
+class _Suite:
+    """One entry of _SUITES: what validation and the runner know of a suite."""
 
-_DEFAULT_EPS = {
-    "bracket": 1e-5,
-    "torsion": 1e-4,
-    "variation": 1e-4,
-    "arc": 1e-4,
-}
+    checks: Callable  # cfg -> (case, metric, outcome) in record order, with cfg.eps resolved
+    tolerances: dict  # each metric's default tolerance, or its (plane, sphere) pair
+    eps: float | None = None
+    modes: Callable[[int], int] | None = None  # grid_n -> default highest trig mode
+    plane_only: bool = False
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -144,9 +140,9 @@ def validate_config(cfg: SuiteConfig) -> SuiteConfig:
             )
         if not _is_finite_number(value):
             raise ConfigInvalid(f"tolerance for {metric!r} must be a finite number, got {value!r}")
-    if cfg.suite in ("spanning", "arc") and cfg.ambient != PLANE:
+    if _SUITES[cfg.suite].plane_only and cfg.ambient != PLANE:
         raise ConfigInvalid(f"the {cfg.suite} suite runs on plane curves only")
-    if cfg.suite in ("bracket", "torsion", "spanning"):
+    if _SUITES[cfg.suite].modes is not None:
         k = _modes(cfg)
         try:
             _check_modes(cfg.grid_n, k)
@@ -229,10 +225,10 @@ def _working_set(cfg: SuiteConfig) -> tuple[int, str]:
 
 
 def _modes(cfg: SuiteConfig) -> int:
-    """The highest trig mode of a bracket, torsion or spanning run."""
+    """The highest trig mode of a bracket, torsion or spanning run (its default in _SUITES)."""
     if cfg.modes is not None:
         return cfg.modes
-    return cfg.grid_n // 2 if cfg.suite == "spanning" else 4
+    return _SUITES[cfg.suite].modes(cfg.grid_n)
 
 
 def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
@@ -263,17 +259,20 @@ def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
         if kind == "file":
             if not rest:
                 raise ConfigInvalid("file family needs a path: file:<path>")
-            c = load_curve_csv(rest)
-            # records, fields and validation all use the config's grid and ambient
-            if c.grid_n != cfg.grid_n:
-                raise ConfigInvalid(
-                    f"curve file {rest!r} has {c.grid_n} nodes, but grid_n is {cfg.grid_n}"
-                )
-            if c.ambient != cfg.ambient:
-                raise ConfigInvalid(
-                    f"curve file {rest!r} is a {c.ambient} curve, but ambient is {cfg.ambient}"
-                )
-            return c
+
+            def check_header(ambient, n):
+                # records, fields and validation all use the config's grid and
+                # ambient; a file on another is refused before its rows are read
+                if n != cfg.grid_n:
+                    raise ConfigInvalid(
+                        f"curve file {rest!r} has {n} nodes, but grid_n is {cfg.grid_n}"
+                    )
+                if ambient != cfg.ambient:
+                    raise ConfigInvalid(
+                        f"curve file {rest!r} is a {ambient} curve, but ambient is {cfg.ambient}"
+                    )
+
+            return _load_curve_csv(rest, check_header)
     except ConfigInvalid:
         raise
     except (ValueError, ArithmeticError, OSError, GenerationFailed) as exc:
@@ -282,62 +281,54 @@ def make_curve(cfg: SuiteConfig) -> DiscreteImmersion:
 
 
 def _run_checks(cfg: SuiteConfig, checks) -> list[ReportRecord]:
-    """One record per (case, metric, default tolerance, outcome) check, in order.
+    """One record per (case, metric, outcome) check, in order.
 
     The config's tolerance for the metric, where it sets one, replaces the
-    default.  An outcome is the check's value, or the error that computing
-    it raised (calculus._outcome), which makes a failed record: value inf
-    and the error's type and message appended to the case.  Errors raised
-    while drawing a check propagate.
+    suite's default in _SUITES.  An outcome is the check's value, or the
+    error that computing it raised (calculus._outcome), which makes a failed
+    record: value inf and the error's type and message appended to the
+    case.  Errors raised while drawing a check propagate.
     """
+    sphere = cfg.ambient == SPHERE
+    tolerances = {m: t[sphere] if isinstance(t, tuple) else t for m, t in _SUITES[cfg.suite].tolerances.items()}
+    tolerances.update(cfg.tolerances)
     records = []
-    for case, metric, tolerance, outcome in checks:
+    for case, metric, outcome in checks:
         if isinstance(outcome, Exception):
             case, outcome = f"{case} [{type(outcome).__name__}: {outcome}]", np.inf
-        value, tolerance = float(outcome), float(cfg.tolerances.get(metric, tolerance))
+        value, tolerance = float(outcome), float(tolerances[metric])
         records.append(ReportRecord(cfg.suite, case, cfg.grid_n, metric, value, tolerance, value <= tolerance))
     return records
 
 
-def _trig_pair_checks(cfg: SuiteConfig, c: DiscreteImmersion, check, eps: float):
-    """(case, outcome) for every trig basis pair i < j, in record order: the
-    pair's value from the batched check, or the error the check raised for
-    the pair."""
+def _trig_pair_checks(cfg: SuiteConfig, check, metric: str):
+    """(case, metric, outcome) for every trig basis pair i < j on the
+    configured curve, in record order: the pair's value from the batched
+    check, or the error the check raised for the pair."""
+    c = make_curve(cfg)
     max_mode = _modes(cfg)
     names = ["1"]
     for k in range(1, max_mode + 1):
         names += [f"cos{k}", f"sin{k}"]
     basis = trig_basis(c.grid_n, max_mode)
     pairs = [(i, j) for i in range(len(names)) for j in range(i + 1, len(names))]
-    for (i, j), got in zip(pairs, calculus._pairwise(check, c, basis, pairs, eps)):
-        yield f"{names[i]},{names[j]}", got
+    for (i, j), got in zip(pairs, calculus._pairwise(check, c, basis, pairs, cfg.eps)):
+        yield f"{names[i]},{names[j]}", metric, got
 
 
 def _suite_bracket(cfg: SuiteConfig):
-    c = make_curve(cfg)
-    eps = cfg.eps or _DEFAULT_EPS["bracket"]
-    tol = 1e-3 if cfg.ambient == PLANE else 1e-2
     # the numeric bracket also measures the normal leak; if a pair raised,
     # its leak is unknown and counts as infinite
     worst_leak = 0.0
-    for case, got in _trig_pair_checks(cfg, c, calculus._NormalPairs.bracket, eps):
+    for case, metric, got in _trig_pair_checks(cfg, calculus._NormalPairs.bracket, "bracket_max_diff"):
         value, leak = (got, np.inf) if isinstance(got, Exception) else got
         worst_leak = max(worst_leak, leak)
-        yield case, "bracket_max_diff", tol, value
-    yield "all pairs", "bracket_normal_leak", 1e-3, worst_leak
-
-
-def _suite_torsion(cfg: SuiteConfig):
-    c = make_curve(cfg)
-    eps = cfg.eps or _DEFAULT_EPS["torsion"]
-    tol = 1e-3 if cfg.ambient == PLANE else 1e-2
-    for case, got in _trig_pair_checks(cfg, c, calculus._NormalPairs.torsion, eps):
-        yield case, "torsion_defect", tol, got
+        yield case, metric, value
+    yield "all pairs", "bracket_normal_leak", worst_leak
 
 
 def _suite_variation(cfg: SuiteConfig):
     c = make_curve(cfg)
-    eps = cfg.eps or _DEFAULT_EPS["variation"]
     theta = theta_grid(c.grid_n)
     rng = np.random.default_rng(cfg.seed)
     coeffs = rng.standard_normal(8) / 4.0
@@ -360,11 +351,11 @@ def _suite_variation(cfg: SuiteConfig):
     def compute(direction):
         h = direction(*frame(c))
         closed = calculus.variation_of_normal(c, h)
-        numeric = calculus.directional_derivative(plain_normal, c, h, eps)
+        numeric = calculus.directional_derivative(plain_normal, c, h, cfg.eps)
         return (closed - numeric).max_norm()
 
     for case, direction in directions.items():
-        yield case, "variation_max_diff", 1e-3, calculus._outcome(functools.partial(compute, direction))
+        yield case, "variation_max_diff", calculus._outcome(functools.partial(compute, direction))
 
 
 def _suite_spanning(cfg: SuiteConfig):
@@ -372,12 +363,12 @@ def _suite_spanning(cfg: SuiteConfig):
     k = _modes(cfg)
     report = calculus._outcome(functools.partial(spanning.verify_spanning, c, k))
     if isinstance(report, Exception):
-        yield f"K={k}", "rank_deficit", 0.0, report  # the one record says why
+        yield f"K={k}", "rank_deficit", report  # the one record says why
         return
-    yield f"K={k}", "rank_deficit", 0.0, 2 * c.grid_n - report.rank
+    yield f"K={k}", "rank_deficit", 2 * c.grid_n - report.rank
     sigma_ratio = report.sigma_max / report.sigma_min if report.sigma_min > 0 else np.inf
-    yield f"K={k}", "sigma_max_over_min", 1.0 / spanning.DEFAULT_RANK_TOL, sigma_ratio
-    yield f"K={k}", "normal_rank_deficit", 0.0, c.grid_n - report.normal_rank
+    yield f"K={k}", "sigma_max_over_min", sigma_ratio
+    yield f"K={k}", "normal_rank_deficit", c.grid_n - report.normal_rank
 
 
 def _banded_tables(n: int) -> np.ndarray:
@@ -420,8 +411,8 @@ def _suite_oneform(cfg: SuiteConfig):
     for idx, got in enumerate(calculus._by_chunks(stage, cfg.cases, 8 * n)):
         value, terms = (got, 0) if isinstance(got, Exception) else got
         most_terms = max(most_terms, terms)
-        yield f"form{idx}", "oneform_rel_l2", 1e-4, value
-    yield "all forms", "term_count", 8.0, most_terms
+        yield f"form{idx}", "oneform_rel_l2", value
+    yield "all forms", "term_count", most_terms
 
     theta = theta_grid(n)
     window = (np.pi / 4.0, 3.0 * np.pi / 4.0)
@@ -442,13 +433,12 @@ def _suite_oneform(cfg: SuiteConfig):
 
     got = calculus._outcome(localized_values)
     outside, supported = (got, got) if isinstance(got, Exception) else got
-    yield "localized form", "supported_outside_max", 0.0, outside
-    yield "localized form", "supported_rel_l2", 1e-4, supported
+    yield "localized form", "supported_outside_max", outside
+    yield "localized form", "supported_rel_l2", supported
 
 
 def _suite_arc(cfg: SuiteConfig):
     c = make_curve(cfg)
-    eps = cfg.eps or _DEFAULT_EPS["arc"]
     theta = theta_grid(cfg.grid_n)
     cos1 = PeriodicScalarField(np.cos(theta))
     sin1 = PeriodicScalarField(np.sin(theta))
@@ -457,37 +447,63 @@ def _suite_arc(cfg: SuiteConfig):
     def leaf_invariant():
         return arclength.leaf_invariant(c, arclength.flow_arc(c, calculus.normal_field(cos1), 0.3))
 
-    yield "flow cos*n, t=0.3", "leaf_invariant", 1e-5, calculus._outcome(leaf_invariant)
+    yield "flow cos*n, t=0.3", "leaf_invariant", calculus._outcome(leaf_invariant)
     pairs = [
         ("n,cos*n", calculus.normal_field(), calculus.normal_field(cos1)),
         ("cos*n,sin*n", calculus.normal_field(cos1), calculus.normal_field(sin1)),
         ("n,v", calculus.normal_field(), calculus.tangent_field()),
     ]
     for case, f1, f2 in pairs:
-        defect = calculus._outcome(functools.partial(arclength.frobenius_defect, c, f1, f2, eps))
-        yield case, "frobenius_defect", 1e-3, defect
+        defect = calculus._outcome(functools.partial(arclength.frobenius_defect, c, f1, f2, cfg.eps))
+        yield case, "frobenius_defect", defect
 
     def negative_control():
         drifted = arclength.flow_field(c, calculus.normal_field(cos3), 0.3)
         return 1e-2 - arclength.leaf_invariant(c, drifted)
 
-    yield "unprojected cos3*n control", "negative_control_slack", 0.0, calculus._outcome(negative_control)
+    yield "unprojected cos3*n control", "negative_control_slack", calculus._outcome(negative_control)
 
 
-_SUITE_CHECKS = {
-    "bracket": _suite_bracket,
-    "torsion": _suite_torsion,
-    "variation": _suite_variation,
-    "spanning": _suite_spanning,
-    "oneform": _suite_oneform,
-    "arc": _suite_arc,
+# One entry per suite, in --list order.
+_SUITES = {
+    "bracket": _Suite(
+        _suite_bracket, dict(bracket_max_diff=(1e-3, 1e-2), bracket_normal_leak=1e-3), eps=1e-5, modes=lambda n: 4
+    ),
+    "torsion": _Suite(
+        functools.partial(_trig_pair_checks, check=calculus._NormalPairs.torsion, metric="torsion_defect"),
+        dict(torsion_defect=(1e-3, 1e-2)),
+        eps=1e-4,
+        modes=lambda n: 4,
+    ),
+    "variation": _Suite(_suite_variation, dict(variation_max_diff=1e-3), eps=1e-4),
+    "spanning": _Suite(
+        _suite_spanning,
+        dict(rank_deficit=0.0, sigma_max_over_min=1.0 / spanning.DEFAULT_RANK_TOL, normal_rank_deficit=0.0),
+        modes=lambda n: n // 2,
+        plane_only=True,
+    ),
+    "oneform": _Suite(
+        _suite_oneform, dict(oneform_rel_l2=1e-4, term_count=8.0, supported_outside_max=0.0, supported_rel_l2=1e-4)
+    ),
+    "arc": _Suite(
+        _suite_arc,
+        dict(leaf_invariant=1e-5, frobenius_defect=1e-3, negative_control_slack=0.0),
+        eps=1e-4,
+        plane_only=True,
+    ),
 }
+
+SUITES = tuple(_SUITES)
+# Every metric some suite emits.  A tolerance may name any of them, not only
+# the running suite's, since one config file can serve several suites.
+METRICS = frozenset().union(*(suite.tolerances for suite in _SUITES.values()))
 
 
 def run_suite(cfg: SuiteConfig) -> list[ReportRecord]:
     """Run one suite and return its records (writing them if out is set)."""
     cfg = validate_config(cfg)
-    records = _run_checks(cfg, _SUITE_CHECKS[cfg.suite](cfg))
+    cfg = replace(cfg, eps=cfg.eps or _SUITES[cfg.suite].eps)
+    records = _run_checks(cfg, _SUITES[cfg.suite].checks(cfg))
     if cfg.out:
         emit_report(records, cfg.out)
     return records

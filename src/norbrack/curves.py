@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -382,6 +383,13 @@ def save_curve_csv(c: DiscreteImmersion, path) -> None:
 
 def load_curve_csv(path) -> DiscreteImmersion:
     """Read a curve written by save_curve_csv."""
+    return _load_curve_csv(path, lambda ambient, n: None)
+
+
+def _load_curve_csv(path, check_header) -> DiscreteImmersion:
+    """load_curve_csv, calling check_header(ambient, n) on the header before
+    any point is read.  At most n + 1 rows are read, so a file's length
+    costs no memory beyond what its header claims."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         parts = dict(
@@ -391,7 +399,11 @@ def load_curve_csv(path) -> DiscreteImmersion:
             raise ValueError(f"malformed curve header: {header!r}")
         ambient = parts["ambient"]
         n = int(parts["n"])
-        rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
+        if ambient not in (PLANE, SPHERE):
+            raise ValueError(f"unknown ambient {ambient!r}")
+        check_header(ambient, n)
+        nonblank = filter(None, csv.reader(fh))
+        rows = [[float(x) for x in row] for row in itertools.islice(nonblank, n + 1)]
     if len(rows) != n:
-        raise ValueError(f"expected {n} points, found {len(rows)}")
+        raise ValueError(f"expected {n} points, found {'more' if len(rows) > n else len(rows)}")
     return DiscreteImmersion(np.array(rows), ambient)
